@@ -45,7 +45,7 @@ from .product_sim import (
     default_product_code,
     failure_probability,
 )
-from .spectrum import oracle_spectrum, spectrum_by_doubling
+from .spectrum import oracle_spectrum, spectrum_by_doubling, spectrum_of_matrix
 
 _NAMED_CODE = re.compile(r"^(eh|hamming|pan|panchenko)(\d+)$", re.IGNORECASE)
 
@@ -83,6 +83,25 @@ def _params(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _write_table(
+    args: argparse.Namespace,
+    header: list[str],
+    rows: list[list],
+    sidecar: dict,
+    inputs: Iterable[Path] = (),
+) -> None:
+    """The CSV at --out, its JSON sidecar <out>.json, and the manifest."""
+    out = Path(args.out)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    out.write_text(buf.getvalue())
+    side = Path(str(out) + ".json")
+    side.write_text(json.dumps(sidecar, indent=2) + "\n")
+    _write_manifest(out, args.command, _params(args), args.seed, inputs, [out, side])
+
+
 def _resolve_code(token: str) -> tuple[Code, list[Path]]:
     """A code named like eh7/panchenko8, or a matrix file with optional
     <file>.json sidecar carrying its metadata."""
@@ -99,10 +118,15 @@ def _resolve_code(token: str) -> tuple[Code, list[Path]]:
     h = BitMatrix.from_text(path.read_text())
     sidecar = Path(str(path) + ".json")
     if sidecar.is_file():
-        spec = CodeSpec.from_json(json.loads(sidecar.read_text()))
-        return Code(spec, h), [path, sidecar]
-    bare = Code(CodeSpec(h.cols, h.nrows, None, Lineage()), h)
-    d = oracle_spectrum(bare).min_nonzero()
+        code = Code(CodeSpec.from_json(json.loads(sidecar.read_text())), h)
+        d = spectrum_of_matrix(h).min_nonzero()
+        if code.spec.d != d:
+            # psi and every bound downstream are taken at the stated d
+            raise ConsistencyError(
+                f"{sidecar} says d={code.spec.d}, but the matrix has minimum distance {d}"
+            )
+        return code, [path, sidecar]
+    d = spectrum_of_matrix(h).min_nonzero()
     return Code(CodeSpec(h.cols, h.nrows, d, Lineage()), h), [path]
 
 
@@ -239,13 +263,11 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
         for rho in range(args.rho_min, args.rho_max + 1)
     ]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_ERASURE_COLUMNS)
+    rows = []
     rows_json = []
     for rep in reports:
         s_val = rep.s_exact_or_estimate
-        writer.writerow(
+        rows.append(
             [
                 rep.rho,
                 rep.total,
@@ -281,18 +303,9 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
             }
         )
 
-    out = Path(args.out)
-    out.write_text(buf.getvalue())
-    sidecar = Path(str(out) + ".json")
-    sidecar.write_text(
-        json.dumps(
-            {"code": code.spec.to_json(), "digits": args.digits, "rows": rows_json},
-            indent=2,
-        )
-        + "\n"
-    )
-    _write_manifest(out, "erasure", _params(args), args.seed, inputs, [out, sidecar])
-    print(f"wrote {len(reports)} erasure rows to {out}")
+    sidecar = {"code": code.spec.to_json(), "digits": args.digits, "rows": rows_json}
+    _write_table(args, _ERASURE_COLUMNS, rows, sidecar, inputs)
+    print(f"wrote {len(reports)} erasure rows to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +391,6 @@ def _table1_selection(tokens: list[str]) -> list[tuple[str, Code]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
-    out = Path(args.out)
     if args.which == 1:
         codes = _table1_selection(_parse_list(args.codes, str) if args.codes else [])
         rhos = tuple(_parse_list(args.rhos, int))
@@ -389,12 +401,10 @@ def _cmd_table(args: argparse.Namespace) -> None:
             samples=args.samples,
             master_seed=args.seed,
         )
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["code", "r", "n", "rho", "method", "value", "reference", "deviation"])
+        rows = []
         rows_json = []
         for cell in cells:
-            writer.writerow(
+            rows.append(
                 [
                     cell.label,
                     cell.r,
@@ -418,23 +428,16 @@ def _cmd_table(args: argparse.Namespace) -> None:
                     "deviation": cell.deviation,
                 }
             )
-        out.write_text(buf.getvalue())
-        sidecar = Path(str(out) + ".json")
-        sidecar.write_text(json.dumps({"table": 1, "rows": rows_json}, indent=2) + "\n")
-        _write_manifest(out, "table", _params(args), args.seed, [], [out, sidecar])
-        print(f"wrote {len(cells)} benchmark cells to {out}")
+        header = ["code", "r", "n", "rho", "method", "value", "reference", "deviation"]
+        _write_table(args, header, rows, {"table": 1, "rows": rows_json})
+        print(f"wrote {len(cells)} benchmark cells to {args.out}")
         return
 
     ps = _parse_list(args.p, float)
     dplus = _parse_list(args.dplus, int)
     strategy = "stratified" if args.stratified else "plain"
     pc = default_product_code()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["p", "d_plus", "method", "trials", "failures", "estimate",
-         "ci95", "tail_bound", "reference", "deviation"]
-    )
+    rows = []
     rows_json = []
     for p in ps:
         for dp in dplus:
@@ -444,7 +447,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
                                       k_max=args.kmax)
             ref = TABLE2_REFERENCE.get((p, dp))
             deviation = float(res.estimate) - float(ref) if ref is not None else None
-            writer.writerow(
+            rows.append(
                 [
                     repr(p),
                     dp,
@@ -465,18 +468,17 @@ def _cmd_table(args: argparse.Namespace) -> None:
                     "method": res.strategy,
                     "trials": res.trials,
                     "failures": res.failures,
-                    "estimate": _exact(res.estimate),
+                    "estimate": float(res.estimate),
                     "ci95": res.ci95,
                     "tail_bound": res.tail_bound,
                     "reference": ref,
                     "deviation": deviation,
                 }
             )
-    out.write_text(buf.getvalue())
-    sidecar = Path(str(out) + ".json")
-    sidecar.write_text(json.dumps({"table": 2, "rows": rows_json}, indent=2) + "\n")
-    _write_manifest(out, "table", _params(args), args.seed, [], [out, sidecar])
-    print(f"wrote {len(rows_json)} simulation cells to {out}")
+    header = ["p", "d_plus", "method", "trials", "failures", "estimate",
+              "ci95", "tail_bound", "reference", "deviation"]
+    _write_table(args, header, rows, {"table": 2, "rows": rows_json})
+    print(f"wrote {len(rows_json)} simulation cells to {args.out}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,16 @@ decoding. Three roads to it live here:
 * psi_tilde and friends: the recursive refinement of psi driven by spectra
   of shortened codes, plus the binomial/entropy approximations.
 
-The enumeration and sampling kernels pack a reduced column basis into a
-single uint64 (8 lanes of 8 bits, one lane per leading-bit position), so a
-whole frontier of partial subsets is eliminated with numpy array ops. This
-caps the fast path at 8 parity rows; wider codes fall back to a plain
-Python walk of the same tree.
+The enumeration and sampling kernels share one elimination: H's columns
+are written in the coordinates of a row basis of H, one word per column in
+the narrowest unsigned dtype that holds rank(H) <= 64 bits, and a whole
+array of partial subsets is reduced with numpy array ops, one basis per
+array entry.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -32,17 +31,16 @@ import numpy as np
 
 from .construct import Code, extended_hamming, panchenko, shorten
 from .errors import BudgetError, ConsistencyError, PreconditionError
-from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_count
+from .gf2 import BitMatrix, gf2_basis
+from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_map
 from .spectrum import WeightSpectrum, comb0, oracle_spectrum
 
 __all__ = [
-    "ApproxParams",
     "EntropyBounds",
     "ErasureReport",
     "SampleEstimate",
     "TableCell",
     "binary_entropy",
-    "binomial_spectrum_estimate",
     "delta_entropy_bound",
     "delta_lower",
     "delta_tilde",
@@ -60,10 +58,14 @@ __all__ = [
 
 SpectrumProvider = Callable[[int], WeightSpectrum]
 
-_MSB = np.array([0] + [v.bit_length() - 1 for v in range(1, 256)], dtype=np.uint64)
+_WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 _SLICE = 1 << 22
+# samples per derived stream; part of the sampling plan, so changing it
+# changes every sampled estimate
 _SAMPLE_CHUNK = 1 << 20
-_PY_SAMPLE_BUDGET = 10**6
+# subsets per kernel call: keeps the kernel's scratch arrays small next to
+# the chunk's draw, which peak memory already has to hold
+_HIT_BATCH = 1 << 16
 
 
 def psi(n: int, d: int, rho: int, s: WeightSpectrum) -> int:
@@ -164,23 +166,6 @@ def binary_entropy(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class ApproxParams:
-    """Free parameter of the binomial spectrum approximation, tied to r."""
-
-    z: float
-    r: int
-
-    def __post_init__(self) -> None:
-        if not self.r - 1 < self.z <= self.r:
-            raise PreconditionError(f"z={self.z} outside (r-1, r] for r={self.r}")
-
-
-def binomial_spectrum_estimate(n: int, w: int, z: float) -> float:
-    """A_w approximated as 2^-z * C(n,w)."""
-    return float(math.comb(n, w)) * 2.0**-z
-
-
-@dataclass(frozen=True)
 class EntropyBounds:
     entropy_bound: float
     weak_bound: float | None  # None when rho >= z: the simple bound is vacuous
@@ -197,47 +182,73 @@ def delta_entropy_bound(d: int, rho: int, z: float) -> EntropyBounds:
 
 
 # ---------------------------------------------------------------------------
+# the independence kernel
+# ---------------------------------------------------------------------------
+
+
+def _column_words(h: BitMatrix) -> np.ndarray:
+    """H's columns in the coordinates of a row basis of H, one word each.
+
+    Columns have the same dependencies in any basis of the row space, so
+    zero or redundant rows of H change nothing; the word is as wide as
+    rank(H), in the narrowest unsigned dtype that holds it.
+    """
+    basis = gf2_basis(h.rows)
+    if len(basis) > 64:
+        raise PreconditionError(f"rank {len(basis)} exceeds the 64-bit independence kernel")
+    dtype = next(t for t in _WORDS if np.iinfo(t).bits >= len(basis))
+    return np.array(BitMatrix(tuple(basis), h.cols).column_ints(), dtype=dtype)
+
+
+def _reduce(x: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Reduce words x (in place) against one echelon basis per entry.
+
+    basis[s] and pivots[s] hold the s-th basis vector of every entry and its
+    one-hot pivot. Vector s has no bit at the pivots of vectors before it,
+    so reducing in insertion order clears every pivot: x ends at zero iff it
+    lies in the span. A zero vector (pivot 0) reduces nothing.
+    """
+    for b, p in zip(basis, pivots):
+        x ^= b * ((x & p) != 0)
+    return x
+
+
+def _lowest_bit(x: np.ndarray) -> np.ndarray:
+    return x & (~x + 1)
+
+
+# ---------------------------------------------------------------------------
 # exact enumeration
 # ---------------------------------------------------------------------------
 
 
-def _reduce_packed(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Reduce column values x (consumed in place) against packed bases."""
-    for b in range(7, -1, -1):
-        row = (basis >> np.uint64(8 * b)) & np.uint64(0xFF)
-        row *= (x >> np.uint64(b)) & np.uint64(1)
-        x ^= row
-    return x
-
-
 def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int:
-    """Independent rho-subsets whose smallest member is column j0 (packed engine).
+    """Independent rho-subsets whose smallest member is column j0.
 
     Level-synchronized walk of the pruned prefix tree: the frontier holds
-    (highest index, packed basis) for every independent prefix, sorted by
+    (highest index, basis, pivots) for every independent prefix, sorted by
     the highest index so the parents of a candidate column form a slice.
     """
-    c0 = int(cols[j0])
-    if c0 == 0:
+    if not cols[j0]:
         return 0
     if rho == 1:
         return 1
     last = np.array([j0], dtype=np.int64)
-    basis = np.array([c0 << (8 * (c0.bit_length() - 1))], dtype=np.uint64)
+    basis = cols[j0 : j0 + 1].reshape(1, 1)
+    pivots = _lowest_bit(basis)
     for level in range(1, rho):
         final = level + 1 == rho
         remaining = rho - level - 1
         hits = 0
         parts_last: list[np.ndarray] = []
         parts_basis: list[np.ndarray] = []
+        parts_pivots: list[np.ndarray] = []
         for j in range(j0 + level, n - remaining):
             hi = int(np.searchsorted(last, j))
-            if hi == 0:
-                continue
-            cj = cols[j]
             for lo in range(0, hi, _SLICE):
-                pb = basis[lo : min(lo + _SLICE, hi)]
-                x = _reduce_packed(np.full(pb.shape, cj, dtype=np.uint64), pb)
+                part = slice(lo, min(lo + _SLICE, hi))
+                pb, pp = basis[:, part], pivots[:, part]
+                x = _reduce(np.full(pb.shape[1], cols[j], dtype=cols.dtype), pb, pp)
                 nz = x != 0
                 if final:
                     hits += int(np.count_nonzero(nz))
@@ -245,46 +256,17 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
                 xs = x[nz]
                 if not xs.size:
                     continue
-                lead = _MSB[xs.astype(np.intp)]
-                parts_basis.append(pb[nz] | (xs << (np.uint64(8) * lead)))
+                parts_basis.append(np.vstack([pb[:, nz], xs]))
+                parts_pivots.append(np.vstack([pp[:, nz], _lowest_bit(xs)]))
                 parts_last.append(np.full(xs.size, j, dtype=np.int64))
         if final:
             return hits
         if not parts_basis:
             return 0
-        basis = np.concatenate(parts_basis)
+        basis = np.concatenate(parts_basis, axis=1)
+        pivots = np.concatenate(parts_pivots, axis=1)
         last = np.concatenate(parts_last)
     raise AssertionError("unreachable")
-
-
-def _count_independent_below_py(cols: list[int], n: int, rho: int, j0: int) -> int:
-    """Reference engine: same pruned tree, plain recursion, any row count."""
-    c0 = cols[j0]
-    if c0 == 0:
-        return 0
-    if rho == 1:
-        return 1
-
-    def walk(start: int, depth: int, basis: dict[int, int]) -> int:
-        got = 0
-        for j in range(start, n - (rho - depth - 1)):
-            x = cols[j]
-            while x:
-                b = x.bit_length() - 1
-                if b not in basis:
-                    break
-                x ^= basis[b]
-            if not x:
-                continue
-            if depth + 1 == rho:
-                got += 1
-            else:
-                child = dict(basis)
-                child[x.bit_length() - 1] = x
-                got += walk(j + 1, depth + 1, child)
-        return got
-
-    return walk(j0 + 1, 1, {c0.bit_length() - 1: c0})
 
 
 def s_rho_exact(
@@ -315,25 +297,14 @@ def s_rho_exact(
         )
     if rho > h.rank():
         return 0  # a subset's rank is capped by rank(H)
-    cols_list = h.column_ints()
-    if h.nrows <= 8:
-        counter = partial(_count_independent_below, np.asarray(cols_list, dtype=np.uint64), n, rho)
-    else:
-        counter = partial(_count_independent_below_py, cols_list, n, rho)
-    roots = list(range(n - rho + 1))
-    workers = thread_count(threads)
+    counter = partial(_count_independent_below, _column_words(h), n, rho)
+    roots = range(n - rho + 1)
     out = 0
-    if workers == 1:
-        for done, j0 in enumerate(roots, 1):
-            out += counter(j0)
+    with thread_map(counter, roots, threads) as parts:
+        for done, part in enumerate(parts, 1):
+            out += part
             if progress is not None:
                 progress(done, len(roots))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done, part in enumerate(pool.map(counter, roots), 1):
-                out += part
-                if progress is not None:
-                    progress(done, len(roots))
     return out
 
 
@@ -367,44 +338,21 @@ class SampleEstimate:
         return 1.96 * self.std_error
 
 
-def _count_hits_packed(cols: np.ndarray, idxs: np.ndarray) -> int:
-    m, rho = idxs.shape
-    if m == 0:
-        return 0
-    vals = cols[idxs]
-    basis = np.zeros(m, dtype=np.uint64)
-    ok = np.ones(m, dtype=bool)
-    for t in range(rho):
-        x = _reduce_packed(vals[:, t].copy(), basis)
+def _count_hits(cols: np.ndarray, idxs: np.ndarray) -> int:
+    """Rows of idxs (m, rho) whose columns are independent."""
+    vals = cols[idxs.T]
+    basis = np.empty_like(vals)
+    pivots = np.empty_like(vals)
+    ok = np.ones(idxs.shape[0], dtype=bool)
+    for t, x in enumerate(vals):
+        _reduce(x, basis[:t], pivots[:t])
         ok &= x != 0
-        lead = _MSB[x.astype(np.intp)]
-        basis |= x << (np.uint64(8) * lead)  # no-op for already-dependent rows
+        basis[t] = x
+        pivots[t] = _lowest_bit(x)
     return int(np.count_nonzero(ok))
 
 
-def _count_hits_py(cols: list[int], idxs: np.ndarray) -> int:
-    hits = 0
-    for row in idxs:
-        basis: dict[int, int] = {}
-        ok = True
-        for j in row:
-            x = cols[int(j)]
-            while x:
-                b = x.bit_length() - 1
-                if b not in basis:
-                    basis[b] = x
-                    break
-                x ^= basis[b]
-            else:
-                ok = False
-                break
-        hits += ok
-    return hits
-
-
-def _sample_chunk(
-    cols, n: int, rho: int, packed: bool, master_seed: int, job: tuple[int, int]
-) -> int:
+def _sample_chunk(cols: np.ndarray, n: int, rho: int, master_seed: int, job: tuple[int, int]) -> int:
     index, size = job
     rng = derive_stream(master_seed, DOMAIN_ERASURE_SAMPLING, index)
     hits = 0
@@ -415,7 +363,8 @@ def _sample_chunk(
         if rho > 1:
             draw = draw[np.all(draw[:, 1:] != draw[:, :-1], axis=1)]
         got += draw.shape[0]
-        hits += _count_hits_packed(cols, draw) if packed else _count_hits_py(cols, draw)
+        for lo in range(0, draw.shape[0], _HIT_BATCH):
+            hits += _count_hits(cols, draw[lo : lo + _HIT_BATCH])
     return hits
 
 
@@ -426,7 +375,6 @@ def s_rho_sampled(
     master_seed: int,
     *,
     threads: int | None = None,
-    chunk_size: int = _SAMPLE_CHUNK,
 ) -> SampleEstimate:
     """Unbiased estimate of delta_rho from uniform random rho-subsets.
 
@@ -440,26 +388,13 @@ def s_rho_sampled(
         raise PreconditionError(f"rho={rho} outside 1..{n}")
     if samples < 1:
         raise PreconditionError("need at least one sample")
-    if chunk_size < 1:
-        raise PreconditionError("chunk_size must be >= 1")
-    packed = h.nrows <= 8
-    if not packed and samples > _PY_SAMPLE_BUDGET:
-        raise BudgetError(
-            f"{samples} samples on a {h.nrows}-row code exceeds the plain-Python "
-            f"budget of {_PY_SAMPLE_BUDGET}; the packed kernel needs <= 8 rows"
-        )
-    cols = np.asarray(h.column_ints(), dtype=np.uint64) if packed else h.column_ints()
     jobs = [
-        (i, min(chunk_size, samples - i * chunk_size))
-        for i in range((samples + chunk_size - 1) // chunk_size)
+        (i, min(_SAMPLE_CHUNK, samples - i * _SAMPLE_CHUNK))
+        for i in range((samples + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK)
     ]
-    worker = partial(_sample_chunk, cols, n, rho, packed, master_seed)
-    workers = thread_count(threads)
-    if workers == 1:
-        hits = sum(worker(job) for job in jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(worker, jobs))
+    worker = partial(_sample_chunk, _column_words(h), n, rho, master_seed)
+    with thread_map(worker, jobs, threads) as parts:
+        hits = sum(parts)
     return SampleEstimate(n=n, rho=rho, samples=samples, hits=hits, master_seed=master_seed)
 
 

@@ -1,4 +1,4 @@
-"""Small GF(2) linear algebra on bit-packed rows, plus subset enumeration.
+"""Small GF(2) linear algebra on bit-packed rows.
 
 Rows and columns are Python ints used as bitsets; bit j of a row int is the
 entry in column j (least-significant bit = lowest column index). This is the
@@ -7,20 +7,16 @@ convention used by the text format and by every kernel downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations as _itercombs
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 
 __all__ = [
     "BitVector",
     "BitMatrix",
+    "gf2_basis",
     "gf2_rank",
-    "enumerate_combinations",
-    "combination_chunks",
-    "unrank_combination",
 ]
 
 
@@ -116,19 +112,7 @@ class BitMatrix:
 
     def columns_independent(self, idx: Sequence[int]) -> bool:
         """True iff the selected columns are linearly independent over GF(2)."""
-        basis = [0] * max(len(self.rows), 1)
-        for j in idx:
-            x = self.column(j)
-            while x:
-                b = x.bit_length() - 1
-                if basis[b]:
-                    x ^= basis[b]
-                else:
-                    basis[b] = x
-                    break
-            else:
-                return False
-        return True
+        return len(gf2_basis(self.column(j) for j in idx)) == len(idx)
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(tuple(self.column(j) for j in range(self.cols)), len(self.rows))
@@ -159,101 +143,24 @@ class BitMatrix:
         return cls(tuple(rows), nc)
 
 
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank of a matrix given as int-bitset rows."""
-    basis: dict[int, int] = {}  # leading bit -> reduced row
-    for row in rows:
-        x = row
+def gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """Echelon basis of the span of int-bitset vectors, in insertion order.
+
+    Each vector is reduced against the basis so far by leading bit and kept
+    if anything is left, so the vectors were independent iff every one of
+    them is kept.
+    """
+    basis: dict[int, int] = {}  # leading bit -> reduced vector
+    for x in vectors:
         while x:
             b = x.bit_length() - 1
-            if b in basis:
-                x ^= basis[b]
-            else:
+            if b not in basis:
                 basis[b] = x
                 break
-    return len(basis)
+            x ^= basis[b]
+    return list(basis.values())
 
 
-def enumerate_combinations(
-    n: int,
-    k: int,
-    visitor: Callable[[tuple[int, ...]], None] | None = None,
-    *,
-    start: int = 0,
-    stop: int | None = None,
-) -> int:
-    """Visit k-subsets of range(n) in lexicographic order; return the visit count.
-
-    start/stop select a rank range [start, stop) within the lexicographic
-    sequence, which is how parallel chunking partitions the index space.
-    """
-    if k < 0 or n < 0:
-        raise PreconditionError("n and k must be nonnegative")
-    total = math.comb(n, k)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise PreconditionError(f"bad rank range [{start}, {stop}) for C({n},{k})={total}")
-    count = stop - start
-    if count == 0:
-        return 0
-    if start == 0 and stop == total:
-        it: Iterator[tuple[int, ...]] = _itercombs(range(n), k)
-        if visitor is None:
-            for _ in it:
-                pass
-        else:
-            for comb in it:
-                visitor(comb)
-        return count
-    cur = list(unrank_combination(n, k, start))
-    for _ in range(count):
-        if visitor is not None:
-            visitor(tuple(cur))
-        _advance(cur, n)
-    return count
-
-
-def _advance(comb: list[int], n: int) -> None:
-    # lexicographic successor, in place; leaves garbage past the last subset
-    k = len(comb)
-    i = k - 1
-    while i >= 0 and comb[i] == n - k + i:
-        i -= 1
-    if i < 0:
-        return
-    comb[i] += 1
-    for j in range(i + 1, k):
-        comb[j] = comb[j - 1] + 1
-
-
-def unrank_combination(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """The rank-th k-subset of range(n) in lexicographic order."""
-    if not 0 <= rank < math.comb(n, k):
-        raise PreconditionError(f"rank {rank} out of range for C({n},{k})")
-    out = []
-    r = rank
-    c = 0
-    for remaining in range(k, 0, -1):
-        while True:
-            block = math.comb(n - 1 - c, remaining - 1)
-            if r < block:
-                break
-            r -= block
-            c += 1
-        out.append(c)
-        c += 1
-    return tuple(out)
-
-
-def combination_chunks(n: int, k: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Split the lexicographic rank space of C(n,k) into contiguous chunks.
-
-    Chunk boundaries depend only on (n, k, n_chunks), never on worker count,
-    so chunked results are reproducible under any parallel schedule.
-    """
-    if n_chunks < 1:
-        raise PreconditionError("need at least one chunk")
-    total = math.comb(n, k)
-    bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
+def gf2_rank(rows: Sequence[int]) -> int:
+    """Rank of a matrix given as int-bitset rows."""
+    return len(gf2_basis(rows))

@@ -17,18 +17,17 @@ tests check the invariance against encoded random payloads.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from typing import Iterable
 
 import numpy as np
 
 from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
-from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, thread_count
+from .gf2 import gf2_basis
+from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, thread_map
 
 __all__ = [
     "DecodeOutcome",
@@ -215,21 +214,6 @@ def _solve_erasure(basis: dict[int, tuple[int, int]], syndrome: int) -> int | No
     return m
 
 
-def _independent(cols: list[int], idx: Iterable[int]) -> bool:
-    basis: dict[int, int] = {}
-    for j in idx:
-        x = cols[j]
-        while x:
-            b = x.bit_length() - 1
-            if b not in basis:
-                basis[b] = x
-                break
-            x ^= basis[b]
-        else:
-            return False
-    return True
-
-
 def _pack_bits(vec: np.ndarray) -> int:
     out = 0
     for i, b in enumerate(vec):
@@ -287,7 +271,7 @@ def decode(
     c_star = np.flatnonzero(col_flags(received)).tolist()
 
     def correctable(star: list[int], cols: list[int]) -> bool:
-        return len(star) <= d_plus and _independent(cols, star)
+        return len(star) <= d_plus and len(gf2_basis(cols[j] for j in star)) == len(star)
 
     filled = received
     via = "none"
@@ -353,8 +337,11 @@ def _plain_chunk(pc: ProductCode, cfg: SimConfig, chunk: tuple[int, int]) -> np.
     return _classify_batch(pc, errors, cfg.d_plus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SimResult:
+    """estimate is exact; a stratified one can have a denominator far past
+    the digits str() will print, so repr and JSON show it as a float."""
+
     p: float
     d_plus: int
     trials: int
@@ -379,6 +366,10 @@ class SimResult:
             "master_seed": self.master_seed,
             "tail_bound": self.tail_bound,
         }
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_json().items())
+        return f"SimResult({fields})"
 
 
 def _wald_halfwidth(successes: int, total: int) -> float:
@@ -424,20 +415,12 @@ def _plain_failure(
         (i * chunk_trials, min(chunk_trials, cfg.trials - i * chunk_trials))
         for i in range((cfg.trials + chunk_trials - 1) // chunk_trials)
     ]
-    worker = partial(_plain_chunk, pc, cfg)
-    workers = thread_count(threads)
     failures = 0
     mis = 0
-    if workers == 1:
-        parts = map(worker, chunks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        parts = pool.map(worker, chunks)
-    for codes in parts:
-        failures += int(np.count_nonzero(codes != _SUCCESS))
-        mis += int(np.count_nonzero(codes == _MISCORRECTION))
-    if workers != 1:
-        pool.shutdown()
+    with thread_map(partial(_plain_chunk, pc, cfg), chunks, threads) as parts:
+        for codes in parts:
+            failures += int(np.count_nonzero(codes != _SUCCESS))
+            mis += int(np.count_nonzero(codes == _MISCORRECTION))
     return SimResult(
         p=cfg.p, d_plus=cfg.d_plus, trials=cfg.trials, failures=failures,
         miscorrections=mis, estimate=Fraction(failures, cfg.trials),
@@ -501,13 +484,8 @@ def _stratified_failure(
     if not weights:
         raise PreconditionError("every stratum fell below eps_tail; raise eps_tail or k_max")
     ks = sorted(weights)
-    worker = partial(_stratum_outcomes, pc, cfg, per_stratum)
-    workers = thread_count(threads)
-    if workers == 1:
-        outcomes = [worker(k) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(worker, ks))
+    with thread_map(partial(_stratum_outcomes, pc, cfg, per_stratum), ks, threads) as parts:
+        outcomes = list(parts)
     estimate = Fraction(0)
     variance = 0.0
     failures = 0

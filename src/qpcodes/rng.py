@@ -3,12 +3,16 @@
 Every Monte Carlo consumer derives one Philox generator per work chunk from
 (master_seed, domain, chunk index). Chunk boundaries are fixed up front, so
 the random numbers a chunk sees depend only on the seed and the chunk's
-index, never on scheduling.
+index, never on scheduling. thread_map is the one place chunks meet
+threads.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,3 +50,22 @@ def thread_count(explicit: int | None = None) -> int:
             raise PreconditionError("QPCODES_THREADS must be >= 1")
         return n
     return os.cpu_count() or 1
+
+
+@contextmanager
+def thread_map(fn: Callable, items: Iterable, threads: int | None = None) -> Iterator[Iterator]:
+    """fn over items, in order, on thread_count(threads) workers.
+
+    One worker maps inline. Otherwise the pool is shut down on every exit
+    from the with-block, cancelling the work not yet started, so a worker
+    that raises leaves no thread behind.
+    """
+    workers = thread_count(threads)
+    if workers == 1:
+        yield map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)

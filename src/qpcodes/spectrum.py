@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .construct import Code, seed
 from .errors import BudgetError, ConsistencyError, PreconditionError
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, gf2_basis
 
 __all__ = [
     "WeightSpectrum",
@@ -156,23 +156,9 @@ def double_dual_spectrum_step(s_dual: WeightSpectrum, r_new: int) -> WeightSpect
     return WeightSpectrum(2 * half, tuple(out))
 
 
-def _row_basis(h: BitMatrix) -> list[int]:
-    basis: dict[int, int] = {}
-    for row in h.rows:
-        x = row
-        while x:
-            b = x.bit_length() - 1
-            if b in basis:
-                x ^= basis[b]
-            else:
-                basis[b] = x
-                break
-    return list(basis.values())
-
-
 def row_space_spectrum(h: BitMatrix) -> WeightSpectrum:
     """Exact weight spectrum of the row space of h (the dual code), by Gray-code walk."""
-    basis = _row_basis(h)
+    basis = gf2_basis(h.rows)
     rank = len(basis)
     if rank > _ORACLE_RANK_BUDGET:
         raise BudgetError(f"row space of rank {rank} exceeds 2^{_ORACLE_RANK_BUDGET} budget")

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from qpcodes.cli import main
-from qpcodes.construct import panchenko
+from qpcodes.construct import extended_hamming, panchenko, shorten
+from qpcodes.product_sim import SimConfig, default_product_code, failure_probability
 
 
 def read_csv(path):
@@ -97,6 +98,40 @@ def test_spectrum_both_fails_closed_on_mismatch(tmp_path):
     assert main(["spectrum", "--code", str(mat), "--method", "both",
                  "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_spectrum_both_fails_closed_when_only_the_spectrum_is_wrong(tmp_path):
+    # a [20,14,4] matrix that is not pan6, under pan6's sidecar: the distance
+    # check passes, so the recursion/oracle comparison must catch it
+    mat = tmp_path / "pan6.txt"
+    assert main(["construct", "--family", "panchenko", "--r", "6", "--out", str(mat)]) == 0
+    mat.write_text(shorten(extended_hamming(6), list(range(20, 32))).H.to_text())
+
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--code", str(mat), "--method", "both",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    assert main(["spectrum", "--code", str(mat), "--out", str(out)]) == 0
+
+
+def test_sidecar_distance_is_checked(tmp_path):
+    mat = tmp_path / "pan6.txt"
+    assert main(["construct", "--family", "panchenko", "--r", "6", "--out", str(mat)]) == 0
+    sidecar = Path(str(mat) + ".json")
+    spec = json.loads(sidecar.read_text())
+    spec["d"] = 3
+    sidecar.write_text(json.dumps(spec))
+
+    out = tmp_path / "x.csv"
+    assert main(["erasure", "--code", str(mat), "--rho-min", "4", "--rho-max", "4",
+                 "--psi", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert main(["spectrum", "--code", str(mat), "--out", str(tmp_path / "s.json")]) == 3
+
+    spec["d"] = 4
+    sidecar.write_text(json.dumps(spec))
+    assert main(["erasure", "--code", str(mat), "--rho-min", "4", "--rho-max", "4",
+                 "--psi", "--out", str(out)]) == 0
 
 
 def test_erasure_exact_grid(tmp_path):
@@ -209,6 +244,24 @@ def test_table2_subgrid(tmp_path):
     assert {r["method"] for r in rows} == {"plain"}
     for r in rows:
         assert 0.85 <= float(r["estimate"]) <= 1.0
+
+
+def test_table2_stratified_dense_cell(tmp_path):
+    # P(K=k) at p=1e-2 over 5184 bits has a denominator of about 10^10368,
+    # past the digits str() will print; the sidecar carries the float
+    out = tmp_path / "t2s.csv"
+    assert main(["table", "--which", "2", "--stratified", "--p", "1e-2", "--dplus", "4",
+                 "--per-stratum", "3", "--seed", "5", "--out", str(out)]) == 0
+    row = json.loads(Path(str(out) + ".json").read_text())["rows"][0]
+    assert isinstance(row["estimate"], float)
+    assert 0.99 <= row["estimate"] <= 1.0
+    assert read_csv(out)[0]["method"] == "stratified"
+
+    cfg = SimConfig(p=1e-2, d_plus=4, trials=1, master_seed=5, strategy="stratified")
+    res = failure_probability(default_product_code(), cfg, per_stratum=3)
+    assert res.estimate.denominator > 10**5000  # kept exact
+    assert float(res.estimate) == row["estimate"]
+    assert "estimate=" in repr(res)
 
 
 def test_every_command_emits_manifest(tmp_path):

@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from qpcodes import erasure
 from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, panchenko, seed, shorten
 from qpcodes.erasure import (
-    ApproxParams,
     ErasureReport,
-    binomial_spectrum_estimate,
     delta_entropy_bound,
     delta_lower,
     delta_tilde,
@@ -24,7 +24,7 @@ from qpcodes.erasure import (
     trailing_shortening_provider,
 )
 from qpcodes.errors import BudgetError, ConsistencyError, PreconditionError
-from qpcodes.gf2 import BitMatrix
+from qpcodes.gf2 import BitMatrix, gf2_rank
 from qpcodes.spectrum import oracle_spectrum
 
 pan5 = panchenko(5)
@@ -40,10 +40,52 @@ def bare_code(h: BitMatrix) -> Code:
 
 
 def with_padding_rows(code: Code, extra: int) -> Code:
-    # zero rows leave every column value, hence every rank question, unchanged;
-    # they only push the matrix off the packed 8-row fast path
+    # zero rows leave every rank question unchanged, and the kernel reads the
+    # columns of a row basis, so they must not change any count either
     h = BitMatrix(code.H.rows + (0,) * extra, code.H.cols)
     return bare_code(h)
+
+
+def structured_matrix(rng: random.Random, nrows: int, rank: int, n: int) -> BitMatrix:
+    """An nrows x n matrix of the given rank whose columns are base vectors,
+    sums of two or three of them, repeats and zeros, so small column sets
+    are often dependent at any rank."""
+    while True:
+        base = [rng.getrandbits(nrows) for _ in range(rank)]
+        if gf2_rank(base) == rank:
+            break
+    cols = list(base)
+    while len(cols) < n:
+        kind = rng.random()
+        if kind < 0.05:
+            cols.append(0)
+        elif kind < 0.15:
+            cols.append(rng.choice(cols))
+        else:
+            x = 0
+            for v in rng.sample(base, min(rng.choice((2, 3)), rank)):
+                x ^= v
+            cols.append(x)
+    rng.shuffle(cols)
+    return BitMatrix(tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols))
+                           for i in range(nrows)), n)
+
+
+def invertible_mix(rng: random.Random, h: BitMatrix) -> BitMatrix:
+    """A*H for a random invertible A over GF(2)."""
+    r = h.nrows
+    while True:
+        a = [rng.getrandbits(r) for _ in range(r)]
+        if gf2_rank(a) == r:
+            break
+    rows = []
+    for mask in a:
+        x = 0
+        for i in range(r):
+            if (mask >> i) & 1:
+                x ^= h.rows[i]
+        rows.append(x)
+    return BitMatrix(tuple(rows), h.cols)
 
 
 def test_psi_known_values():
@@ -131,6 +173,14 @@ def test_exact_count_thread_invariance():
         assert s_rho_exact(extended_hamming(7), 4, threads=t) == expect
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_exact_count_progress_fires_once_per_root(threads):
+    calls = []
+    s_rho_exact(pan5, 4, threads=threads, progress=lambda done, total: calls.append((done, total)))
+    roots = 10 - 4 + 1
+    assert calls == [(done, roots) for done in range(1, roots + 1)]
+
+
 def test_exact_count_permutation_invariance():
     perm = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]
     permuted = bare_code(pan5.H.select_columns(perm))
@@ -160,10 +210,10 @@ def test_sampling_unbiased_within_three_sigma():
 
 
 def test_sampling_chunking_does_not_change_the_plan():
-    # chunk size is part of the stream plan; the default must stay stable
-    a = s_rho_sampled(pan5, 4, 5000, master_seed=9, chunk_size=1 << 20)
-    b = s_rho_sampled(pan5, 4, 5000, master_seed=9)
-    assert a == b
+    # chunk size is part of the stream plan; these hit totals pin it, one
+    # draw inside the first chunk and one reaching into the second
+    assert s_rho_sampled(pan5, 4, 5000, master_seed=9).hits == 4746
+    assert s_rho_sampled(pan5, 4, (1 << 20) + 1000, master_seed=9).hits == 999650
 
 
 def test_sampling_validation():
@@ -171,9 +221,12 @@ def test_sampling_validation():
         s_rho_sampled(pan5, 0, 100, 1)
     with pytest.raises(PreconditionError):
         s_rho_sampled(pan5, 4, 0, 1)
+
+
+def test_wide_matrix_sampling_has_no_sample_cap():
     wide = with_padding_rows(pan5, 5)
-    with pytest.raises(BudgetError):
-        s_rho_sampled(wide, 4, 10**7, 1)
+    samples = 10**6 + 1
+    assert s_rho_sampled(wide, 4, samples, 1) == s_rho_sampled(pan5, 4, samples, 1)
 
 
 def test_wide_matrix_sampling_fallback_agrees():
@@ -181,6 +234,58 @@ def test_wide_matrix_sampling_fallback_agrees():
     a = s_rho_sampled(pan5, 4, 4000, master_seed=7)
     b = s_rho_sampled(wide, 4, 4000, master_seed=7)
     assert a.hits == b.hits
+
+
+# (rank range, rows, length, rho range): one case per kernel word width, with
+# rho kept small where n is large so the brute-force oracle stays cheap
+KERNEL_CASES = [
+    ((1, 8), 8, 14, (1, 5)),
+    ((9, 16), 16, 20, (2, 4)),
+    ((17, 32), 32, 36, (2, 3)),
+    ((33, 64), 64, 44, (2, 3)),
+    ((10, 40), 80, 44, (2, 3)),  # more than 64 rows, rank at most 64
+]
+
+
+@pytest.mark.parametrize("ranks,nrows,n,rhos", KERNEL_CASES,
+                         ids=["uint8", "uint16", "uint32", "uint64", "80rows"])
+def test_kernel_matches_brute_force_at_every_word_width(ranks, nrows, n, rhos):
+    rng = random.Random(sum(ranks) * nrows)
+    for _ in range(2):
+        rank = rng.randint(ranks[0], min(ranks[1], nrows, n))
+        h = structured_matrix(rng, nrows, rank, n)
+        assert h.rank() == rank
+        words = erasure._column_words(h)
+        assert words.dtype == np.min_scalar_type((1 << rank) - 1)
+        code = bare_code(h)
+        for rho in range(rhos[0], rhos[1] + 1):
+            subsets = list(combinations(range(n), rho))
+            expect = [h.columns_independent(sub) for sub in subsets]
+            assert s_rho_exact(code, rho, threads=1) == sum(expect)
+            idxs = np.array(subsets, dtype=np.int64)
+            assert erasure._count_hits(words, idxs) == sum(expect)
+            # and row by row, so that no two errors can cancel in the totals
+            for pick in rng.sample(range(len(subsets)), min(200, len(subsets))):
+                assert erasure._count_hits(words, idxs[pick : pick + 1]) == expect[pick]
+
+
+def test_kernel_refuses_rank_above_64():
+    n = 66
+    h = BitMatrix(tuple(1 << i for i in range(65)), n)
+    with pytest.raises(PreconditionError):
+        s_rho_exact(bare_code(h), 2)
+    with pytest.raises(PreconditionError):
+        s_rho_sampled(bare_code(h), 2, 10, 1)
+
+
+def test_sampled_hits_invariant_under_row_mixing():
+    rng = random.Random(11)
+    for code in (panchenko(7), extended_hamming(9), bare_code(structured_matrix(rng, 20, 18, 40))):
+        mixed = bare_code(invertible_mix(rng, code.H))
+        assert mixed.H != code.H
+        for rho in (4, 6):
+            a = s_rho_sampled(code, rho, 20000, master_seed=rho)
+            assert s_rho_sampled(mixed, rho, 20000, master_seed=rho) == a
 
 
 def test_psi_tilde_depth_one_is_psi():
@@ -249,15 +354,6 @@ def test_entropy_bounds():
     assert vac.weak_bound is None
     with pytest.raises(PreconditionError):
         delta_entropy_bound(4, 3, 7.0)
-
-
-def test_binomial_spectrum_estimate_and_params():
-    assert binomial_spectrum_estimate(64, 4, 7.0) == pytest.approx(635376 / 128)
-    ApproxParams(z=6.5, r=7)
-    with pytest.raises(PreconditionError):
-        ApproxParams(z=6.0, r=7)
-    with pytest.raises(PreconditionError):
-        ApproxParams(z=7.5, r=7)
 
 
 def test_report_exact_path():

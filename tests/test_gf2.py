@@ -1,18 +1,9 @@
-import math
 import random
-from itertools import combinations
 
 import pytest
 
 from qpcodes.errors import PreconditionError
-from qpcodes.gf2 import (
-    BitMatrix,
-    BitVector,
-    combination_chunks,
-    enumerate_combinations,
-    gf2_rank,
-    unrank_combination,
-)
+from qpcodes.gf2 import BitMatrix, BitVector, gf2_rank
 
 
 def dense_rank(rows, ncols):
@@ -98,30 +89,3 @@ def test_matrix_text_roundtrip():
 def test_matrix_text_rejects_malformed(bad):
     with pytest.raises(PreconditionError):
         BitMatrix.from_text(bad)
-
-
-def test_enumeration_matches_itertools_and_counts():
-    seen = []
-    count = enumerate_combinations(6, 3, seen.append)
-    assert count == math.comb(6, 3)
-    assert seen == list(combinations(range(6), 3))
-
-
-def test_unrank_is_lexicographic_index():
-    ref = list(combinations(range(7), 3))
-    for i, comb in enumerate(ref):
-        assert unrank_combination(7, 3, i) == comb
-
-
-def test_chunked_enumeration_visits_same_multiset():
-    ref = list(combinations(range(9), 4))
-    for n_chunks in (1, 2, 3, 5, 8):
-        seen = []
-        for start, stop in combination_chunks(9, 4, n_chunks):
-            enumerate_combinations(9, 4, seen.append, start=start, stop=stop)
-        assert seen == ref
-
-
-def test_enumeration_rejects_bad_range():
-    with pytest.raises(PreconditionError):
-        enumerate_combinations(5, 2, start=3, stop=100)

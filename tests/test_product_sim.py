@@ -1,10 +1,12 @@
 import math
+import threading
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from qpcodes import product_sim
 from qpcodes.errors import PreconditionError
 from qpcodes.product_sim import (
     DecodeOutcome,
@@ -241,6 +243,23 @@ def test_plain_is_deterministic_and_partition_invariant():
     rechunked = failure_probability(PC, cfg, chunk_trials=64)
     assert base.failures == again.failures == threaded.failures == rechunked.failures
     assert base.estimate == Fraction(base.failures, 400)
+
+
+@pytest.mark.parametrize("strategy", ["plain", "stratified"])
+def test_worker_error_leaves_no_pool_thread(monkeypatch, strategy):
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        raise RuntimeError("classifier failed")
+
+    monkeypatch.setattr(product_sim, "_classify_batch", failing)
+    before = set(threading.enumerate())
+    cfg = SimConfig(p=1.2e-3, d_plus=4, trials=64 * 40, master_seed=5, strategy=strategy)
+    with pytest.raises(RuntimeError, match="classifier failed"):
+        failure_probability(PC, cfg, threads=4, chunk_trials=64, per_stratum=5)
+    assert calls
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_plain_counts_match_per_trial_decode():

@@ -1,4 +1,5 @@
-import os
+import threading
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from qpcodes.rng import (
     DOMAIN_SIM_TRIALS,
     derive_stream,
     thread_count,
+    thread_map,
 )
 
 
@@ -58,3 +60,27 @@ def test_thread_count_sources(monkeypatch):
     assert thread_count() >= 1
     with pytest.raises(PreconditionError):
         thread_count(0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_thread_map_keeps_item_order(threads):
+    with thread_map(lambda x: x * x, range(40), threads) as parts:
+        assert list(parts) == [x * x for x in range(40)]
+
+
+def test_thread_map_shuts_its_pool_down_when_a_worker_raises():
+    before = set(threading.enumerate())
+    started = []
+
+    def work(i):
+        started.append(i)
+        if i == 3:
+            raise RuntimeError("worker failed")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(RuntimeError, match="worker failed"):
+        with thread_map(work, range(200), 2) as parts:
+            sum(parts)
+    assert [t for t in threading.enumerate() if t not in before] == []
+    assert len(started) < 200  # work not yet started was cancelled
