@@ -116,18 +116,21 @@ def _resolve_code(token: str) -> tuple[Code, list[Path]]:
             f"{token!r} is neither a named code (eh7, panchenko8, ...) nor a file"
         )
     h = BitMatrix.from_text(path.read_text())
-    sidecar = Path(str(path) + ".json")
-    if sidecar.is_file():
-        code = Code(CodeSpec.from_json(json.loads(sidecar.read_text())), h)
-        d = spectrum_of_matrix(h).min_nonzero()
-        if code.spec.d != d:
-            # psi and every bound downstream are taken at the stated d
-            raise ConsistencyError(
-                f"{sidecar} says d={code.spec.d}, but the matrix has minimum distance {d}"
-            )
-        return code, [path, sidecar]
     d = spectrum_of_matrix(h).min_nonzero()
-    return Code(CodeSpec(h.cols, h.nrows, d, Lineage()), h), [path]
+    sidecar = Path(str(path) + ".json")
+    if not sidecar.is_file():
+        return Code(CodeSpec(h.cols, h.nrows, d, Lineage()), h), [path]
+    try:
+        spec = CodeSpec.from_json(json.loads(sidecar.read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise PreconditionError(f"{sidecar} is not a code sidecar: {exc!r}") from None
+    code = Code(spec, h)
+    if code.spec.d != d:
+        # psi and every bound downstream are taken at the stated d
+        raise ConsistencyError(
+            f"{sidecar} says d={code.spec.d}, but the matrix has minimum distance {d}"
+        )
+    return code, [path, sidecar]
 
 
 def _fmt(value, digits: int) -> str:
@@ -236,6 +239,8 @@ _ERASURE_COLUMNS = [
 
 
 def _cmd_erasure(args: argparse.Namespace) -> None:
+    if args.digits < 0:
+        raise PreconditionError("--digits must be >= 0")
     code, inputs = _resolve_code(args.code)
     if args.rho_min > args.rho_max:
         raise PreconditionError("--rho-min exceeds --rho-max")
@@ -391,6 +396,8 @@ def _table1_selection(tokens: list[str]) -> list[tuple[str, Code]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
+    if args.digits < 0:
+        raise PreconditionError("--digits must be >= 0")
     if args.which == 1:
         codes = _table1_selection(_parse_list(args.codes, str) if args.codes else [])
         rhos = tuple(_parse_list(args.rhos, int))

@@ -239,11 +239,7 @@ def _min_distance(h: BitMatrix) -> int | None:
     """Actual minimum distance by dual-space enumeration; None for the zero code."""
     from .spectrum import spectrum_of_matrix  # local import, avoids a cycle
 
-    counts = spectrum_of_matrix(h).counts
-    for w in range(1, len(counts)):
-        if counts[w]:
-            return w
-    return None
+    return spectrum_of_matrix(h).min_nonzero()
 
 
 def covering_radius(c: Code) -> int:

@@ -482,6 +482,8 @@ def erasure_report(
         raise PreconditionError("the zero code has no erasure statistics")
     if not 0 <= rho <= n:
         raise PreconditionError(f"rho={rho} outside 0..{n}")
+    if z is not None and not 0 <= z < math.inf:
+        raise PreconditionError(f"z={z} must be finite and >= 0")
     total = math.comb(n, rho)
     rank = code.H.rank()
     if rho > rank:

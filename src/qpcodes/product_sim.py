@@ -4,7 +4,7 @@ bit-flip channel, and a single-pass row/column erasure-list decoder.
 The decoder never guesses error values. It flags rows and columns by
 syndrome, treats the smaller flagged set as an erasure pattern if that
 pattern is short enough (<= d_plus) and independent, refills the erased
-positions by solving each line's linear system, then rechecks everything.
+positions of every line from one syndrome table, then rechecks everything.
 A trial therefore ends in exactly one of three states: success, detected
 failure (decoder knows it lost), or miscorrection (clean syndromes, wrong
 array; visible only against the transmitted ground truth).
@@ -56,67 +56,75 @@ TABLE2_REFERENCE: dict[tuple[float, int], str] = {
 
 _SUCCESS, _DETECTED, _MISCORRECTION = 0, 1, 2
 _CHUNK_TRIALS = 1024
+# an erasure table has one entry per packed syndrome, 2^rows in all
+_MAX_ROWS = 16
 
 
-def _h_array(code: Code) -> np.ndarray:
-    h = np.zeros((code.H.nrows, code.spec.n), dtype=np.uint8)
-    for i, row in enumerate(code.H.rows):
-        for j in range(code.spec.n):
-            h[i, j] = (row >> j) & 1
-    return h
+def _h_array(cols: list[int], nrows: int) -> np.ndarray:
+    """H as a (rows, n) uint8 array, from its column ints (bit i = row i)."""
+    return (np.array(cols)[None, :] >> np.arange(nrows)[:, None] & 1).astype(np.uint8)
 
 
-def _systematic_generator(code: Code) -> tuple[np.ndarray, list[int], list[int]]:
-    """Generator matrix (k x n, uint8) plus (pivot, info) column index lists."""
-    n = code.spec.n
-    rows = list(code.H.rows)
-    pivots: list[int] = []
-    # forward elimination by lowest-index pivot column
-    reduced: list[int] = []
-    for row in rows:
-        x = row
-        for p, r in zip(pivots, reduced):
-            if (x >> p) & 1:
-                x ^= r
-        if x == 0:
-            continue
-        p = (x & -x).bit_length() - 1
-        for i, r in enumerate(reduced):
-            if (r >> p) & 1:
-                reduced[i] = r ^ x
-        pivots.append(p)
-        reduced.append(x)
-    order = np.argsort(pivots)
-    pivots = [pivots[i] for i in order]
-    reduced = [reduced[i] for i in order]
-    info = [j for j in range(n) if j not in set(pivots)]
-    k = len(info)
-    gen = np.zeros((k, n), dtype=np.uint8)
-    for gi, j in enumerate(info):
-        gen[gi, j] = 1
-        for p, r in zip(pivots, reduced):
-            gen[gi, p] = (r >> j) & 1
-    return gen, pivots, info
+def _parity_positions(cols: list[int]) -> tuple[list[int], list[int]]:
+    """(parity, info) positions of a systematic encoder.
+
+    Parity is the first column basis met scanning left to right: column j
+    joins iff it is outside the span of the columns before it, which is the
+    pivot set of the reduced echelon form of H.
+    """
+    parity: list[int] = []
+    for j in range(len(cols)):
+        if len(gf2_basis(cols[i] for i in parity + [j])) > len(parity):
+            parity.append(j)
+    return parity, [j for j in range(len(cols)) if j not in parity]
+
+
+def _syndromes(lines: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Packed syndrome of every line along the last axis; bit i is H row i.
+
+    One float32 matmul: 0/1 entries and line sums below 2^24, so the
+    products are exact integers before the reduction mod 2.
+    """
+    bits = (lines.astype(np.float32) @ h.T.astype(np.float32)).astype(np.int64) & 1
+    return bits @ (1 << np.arange(h.shape[0]))
+
+
+def _erasure_table(h: np.ndarray, erased: list[int]) -> np.ndarray | None:
+    """Index of the filling that produces each packed syndrome, -1 if none.
+
+    Filling f puts bit t of f at position erased[t]. Two fillings share a
+    syndrome exactly when the erased columns of H are dependent; then
+    there is no unique refill and the result is None.
+    """
+    fillings = np.arange(1 << len(erased))
+    syn = _syndromes(fillings[:, None] >> np.arange(len(erased)) & 1, h[:, erased])
+    table = np.full(1 << h.shape[0], -1)
+    table[syn] = fillings
+    return table if np.array_equal(table[syn], fillings) else None
 
 
 class ProductCode:
     """Rectangular array code: every row in row_code, every column in col_code."""
 
     def __init__(self, row_code: Code, col_code: Code) -> None:
+        for code in (row_code, col_code):
+            if code.H.nrows > _MAX_ROWS:
+                raise PreconditionError(
+                    f"component H has {code.H.nrows} rows; the decoder's erasure "
+                    f"table is built for at most {_MAX_ROWS}"
+                )
         self.row_code = row_code
         self.col_code = col_code
         self.n_row = row_code.spec.n  # array width
         self.n_col = col_code.spec.n  # array height
         self.k_row = row_code.dimension()
         self.k_col = col_code.dimension()
-        self.h_row = _h_array(row_code)
-        self.h_col = _h_array(col_code)
-        self._h_row_t32 = self.h_row.T.astype(np.float32)
-        self._h_col_t32 = self.h_col.T.astype(np.float32)
         self.row_cols = row_code.H.column_ints()
         self.col_cols = col_code.H.column_ints()
-        self.gen_row, self.parity_row, self.info_row = _systematic_generator(row_code)
-        self.gen_col, self.parity_col, self.info_col = _systematic_generator(col_code)
+        self.h_row = _h_array(self.row_cols, row_code.H.nrows)
+        self.h_col = _h_array(self.col_cols, col_code.H.nrows)
+        self.parity_row, self.info_row = _parity_positions(self.row_cols)
+        self.parity_col, self.info_col = _parity_positions(self.col_cols)
 
     @property
     def bits(self) -> int:
@@ -157,15 +165,33 @@ class DecodeOutcome:
     erasure_weight: int
 
 
+def _fill_lines(
+    lines: np.ndarray, h: np.ndarray, erased: list[int], table: np.ndarray
+) -> np.ndarray:
+    """Erase the listed positions in every line and refill them from the
+    table; lines that no filling fits are left zero-filled for the recheck."""
+    filled = lines.copy()
+    filled[:, erased] = 0
+    f = np.maximum(table[_syndromes(filled, h)], 0)
+    filled[:, erased] = f[:, None] >> np.arange(len(erased)) & 1
+    return filled
+
+
+def _is_codeword(pc: ProductCode, arr: np.ndarray) -> bool:
+    return not (_syndromes(arr, pc.h_row).any() or _syndromes(arr.T, pc.h_col).any())
+
+
 def encode(pc: ProductCode, payload: np.ndarray) -> np.ndarray:
-    """Systematic product encoding: payload rows first, then every column."""
+    """Systematic product encoding: payload at the info positions, then every
+    row and every column refills its parity positions."""
     payload = np.asarray(payload, dtype=np.uint8)
     if payload.shape != (pc.k_col, pc.k_row):
         raise PreconditionError(f"payload must be {pc.k_col}x{pc.k_row}")
-    mid = payload.astype(np.int64) @ pc.gen_row.astype(np.int64) % 2
-    full = (pc.gen_col.astype(np.int64).T @ mid) % 2
-    arr = full.astype(np.uint8)
-    if (arr @ pc.h_row.T % 2).any() or (arr.T @ pc.h_col.T % 2).any():
+    arr = np.zeros((pc.n_col, pc.n_row), dtype=np.uint8)
+    arr[np.ix_(pc.info_col, pc.info_row)] = payload
+    arr = _fill_lines(arr, pc.h_row, pc.parity_row, _erasure_table(pc.h_row, pc.parity_row))
+    arr = _fill_lines(arr.T, pc.h_col, pc.parity_col, _erasure_table(pc.h_col, pc.parity_col)).T
+    if not _is_codeword(pc, arr):
         raise PreconditionError("systematic encoding produced an invalid array")
     return arr
 
@@ -178,69 +204,6 @@ def channel(arr: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
         return arr.copy()
     flips = (rng.random(size=arr.shape) < p).astype(np.uint8)
     return arr ^ flips
-
-
-def _erasure_solver(cols: list[int], idx: list[int]) -> dict[int, tuple[int, int]]:
-    """Basis of the selected H columns with combination tracking.
-
-    Returns lead-bit -> (reduced column, mask over idx positions); assumes
-    the selected columns are independent.
-    """
-    basis: dict[int, tuple[int, int]] = {}
-    for t, j in enumerate(idx):
-        v, m = cols[j], 1 << t
-        while v:
-            b = v.bit_length() - 1
-            if b not in basis:
-                basis[b] = (v, m)
-                break
-            bv, bm = basis[b]
-            v ^= bv
-            m ^= bm
-    return basis
-
-
-def _solve_erasure(basis: dict[int, tuple[int, int]], syndrome: int) -> int | None:
-    """Mask over erased positions reproducing the syndrome, or None if
-    the system is inconsistent (the recheck then reports the failure)."""
-    v, m = syndrome, 0
-    while v:
-        b = v.bit_length() - 1
-        if b not in basis:
-            return None
-        bv, bm = basis[b]
-        v ^= bv
-        m ^= bm
-    return m
-
-
-def _pack_bits(vec: np.ndarray) -> int:
-    out = 0
-    for i, b in enumerate(vec):
-        if b:
-            out |= 1 << i
-    return out
-
-
-def _fill_lines(
-    lines: np.ndarray, h: np.ndarray, cols: list[int], erased: list[int]
-) -> np.ndarray:
-    """Erase the listed positions in every line and refill by solving; lines
-    whose system is inconsistent are left zero-filled for the recheck."""
-    filled = lines.copy()
-    filled[:, erased] = 0
-    basis = _erasure_solver(cols, erased)
-    syn = (filled.astype(np.int64) @ h.T.astype(np.int64)) % 2
-    for r in range(filled.shape[0]):
-        s = _pack_bits(syn[r])
-        if s == 0:
-            continue
-        mask = _solve_erasure(basis, s)
-        if mask is None:
-            continue
-        for t, j in enumerate(erased):
-            filled[r, j] = (mask >> t) & 1
-    return filled
 
 
 def decode(
@@ -261,33 +224,28 @@ def decode(
     if d_plus < 1:
         raise PreconditionError("d_plus must be >= 1")
 
-    def row_flags(arr: np.ndarray) -> np.ndarray:
-        return ((arr.astype(np.int64) @ pc.h_row.T.astype(np.int64)) % 2).any(axis=1)
+    r_star = np.flatnonzero(_syndromes(received, pc.h_row)).tolist()
+    c_star = np.flatnonzero(_syndromes(received.T, pc.h_col)).tolist()
 
-    def col_flags(arr: np.ndarray) -> np.ndarray:
-        return ((arr.T.astype(np.int64) @ pc.h_col.T.astype(np.int64)) % 2).any(axis=1)
-
-    r_star = np.flatnonzero(row_flags(received)).tolist()
-    c_star = np.flatnonzero(col_flags(received)).tolist()
-
-    def correctable(star: list[int], cols: list[int]) -> bool:
-        return len(star) <= d_plus and len(gf2_basis(cols[j] for j in star)) == len(star)
+    def table(star: list[int], h: np.ndarray) -> np.ndarray | None:
+        # more columns than H has rows are dependent without looking
+        return _erasure_table(h, star) if len(star) <= min(d_plus, h.shape[0]) else None
 
     filled = received
     via = "none"
     weight = 0
-    if correctable(c_star, pc.row_cols):
+    if (col_table := table(c_star, pc.h_row)) is not None:
         if c_star:
-            filled = _fill_lines(received, pc.h_row, pc.row_cols, c_star)
+            filled = _fill_lines(received, pc.h_row, c_star, col_table)
             via, weight = "columns", len(c_star)
-    elif correctable(r_star, pc.col_cols):
+    elif (row_table := table(r_star, pc.h_col)) is not None:
         if r_star:
-            filled = _fill_lines(received.T, pc.h_col, pc.col_cols, r_star).T
+            filled = _fill_lines(received.T, pc.h_col, r_star, row_table).T
             via, weight = "rows", len(r_star)
     else:
         return DecodeOutcome("detected_failure", "none", min(len(c_star), len(r_star)))
 
-    if row_flags(filled).any() or col_flags(filled).any():
+    if not _is_codeword(pc, filled):
         return DecodeOutcome("detected_failure", via, weight)
     if transmitted is not None and not np.array_equal(filled, np.asarray(transmitted, dtype=np.uint8)):
         return DecodeOutcome("miscorrection", via, weight)
@@ -302,18 +260,13 @@ def decode(
 def _classify_batch(pc: ProductCode, errors: np.ndarray, d_plus: int) -> np.ndarray:
     """Outcome codes for a batch of error arrays laid over the zero array.
 
-    Flag counts come from one exact float32 matmul per direction (0/1
-    entries, line sums < 2^24, so the floats are exact integers); only
-    trials whose smaller flagged set is within d_plus need the full
+    Flag counts come from the syndromes of every row and every column;
+    only trials whose smaller flagged set is within d_plus need the full
     per-trial decode.
     """
     b = errors.shape[0]
-    flat = errors.reshape(b * pc.n_col, pc.n_row).astype(np.float32)
-    row_bad = (flat @ pc._h_row_t32).astype(np.int64) & 1
-    row_counts = row_bad.any(axis=1).reshape(b, pc.n_col).sum(axis=1)
-    flat_t = errors.transpose(0, 2, 1).reshape(b * pc.n_row, pc.n_col).astype(np.float32)
-    col_bad = (flat_t @ pc._h_col_t32).astype(np.int64) & 1
-    col_counts = col_bad.any(axis=1).reshape(b, pc.n_row).sum(axis=1)
+    row_counts = np.count_nonzero(_syndromes(errors, pc.h_row), axis=1)
+    col_counts = np.count_nonzero(_syndromes(errors.transpose(0, 2, 1), pc.h_col), axis=1)
 
     any_err = errors.any(axis=(1, 2))
     out = np.full(b, _DETECTED, dtype=np.int8)

@@ -45,10 +45,9 @@ def thread_count(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get("QPCODES_THREADS", "").strip()
     if env:
-        n = int(env)
-        if n < 1:
-            raise PreconditionError("QPCODES_THREADS must be >= 1")
-        return n
+        if not env.isdecimal() or int(env) < 1:
+            raise PreconditionError(f"QPCODES_THREADS must be an integer >= 1, not {env!r}")
+        return int(env)
     return os.cpu_count() or 1
 
 

@@ -108,25 +108,17 @@ def double_spectrum_step(s: WeightSpectrum) -> WeightSpectrum:
                 f"input spectrum has A_{w} = {s.counts[w]} != 0; "
                 "the doubling recursion requires minimum weight >= 4"
             )
-    a = s.counts
     out = [0] * (2 * half + 1)
-    for v in range(0, half + 1):
-        val = comb0(half, v) if v % 2 == 0 else 0
-        for j in range(0, v - 1):
-            w_old = 2 * v - 2 * j
-            if w_old <= half:
-                val += (1 << (2 * v - 2 * j - 1)) * a[w_old] * comb0(half - 2 * v + 2 * j, j)
-        out[2 * v] = val
-    for v in range(0, half + 1):
-        w_new = 2 * v + 1
-        if w_new > 2 * half:
-            break
-        val = 0
-        for j in range(0, v - 1):
-            w_old = 2 * v + 1 - 2 * j
-            if w_old <= half:
-                val += (1 << (2 * v - 2 * j)) * a[w_old] * comb0(half - 2 * v - 1 + 2 * j, j)
-        out[w_new] = val
+    for v in range(0, half + 1, 2):
+        out[2 * v] = math.comb(half, v)  # D_v, the A_0 term
+    # both sums in one pass: A_w feeds out[w + 2j] with 2^(w-1) C(half-w, j)
+    for w, a in s.nonzero_items():
+        if w < 4:
+            continue
+        c = 1
+        for j in range(half - w + 1):
+            out[w + 2 * j] += (a << (w - 1)) * c
+            c = c * (half - w - j) // (j + 1)
     result = WeightSpectrum(2 * half, tuple(out))
     # word count must grow by exactly 2^(half-1): dimension k -> k + half - 1
     if result.total != s.total << (half - 1):

@@ -1,0 +1,98 @@
+"""Every subcommand, every erasure method and the simulator across p, run as
+a real process: the exit code is always a documented one and stderr never
+carries a traceback. Inputs the CLI must refuse exit 2 with one line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qpcodes
+
+SRC = str(Path(qpcodes.__file__).resolve().parents[1])
+DOCUMENTED = {0, 2, 3, 4}
+P_GRID = ["1e-1", "1e-2", "5e-3", "1e-3", "5e-4"]
+
+
+def run(tmp_path, argv, env=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    full_env = dict(os.environ, PYTHONPATH=path, QPCODES_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    full_env.update(env or {})
+    return subprocess.run(
+        [sys.executable, "-m", "qpcodes.cli", *argv],
+        cwd=tmp_path, env=full_env, capture_output=True, text=True, timeout=120,
+    )
+
+
+CASES = {
+    "construct-eh": ["construct", "--family", "eh", "--r", "5", "--out", "m.txt"],
+    "construct-panchenko-shortened": ["construct", "--family", "panchenko", "--r", "6", "--shorten", "4", "--out", "m.txt"],
+    "construct-general": ["construct", "--family", "general", "--r", "6", "--g", "3", "--out", "m.txt"],
+    "construct-seed": ["construct", "--family", "seed", "--seed", "S", "--out", "m.txt"],
+    "construct-missing-r": ["construct", "--family", "eh", "--out", "m.txt"],
+    "spectrum-oracle": ["spectrum", "--code", "eh6", "--method", "oracle", "--out", "s.json"],
+    "spectrum-recursion": ["spectrum", "--code", "pan6", "--method", "recursion", "--out", "s.json"],
+    "spectrum-both": ["spectrum", "--code", "pan7", "--method", "both", "--out", "s.json"],
+    "spectrum-missing-file": ["spectrum", "--code", "nope.txt", "--out", "s.json"],
+    "erasure-auto": ["erasure", "--code", "eh5", "--rho-min", "3", "--rho-max", "6", "--z", "3", "--out", "e.csv"],
+    "erasure-exact": ["erasure", "--code", "pan6", "--rho-min", "4", "--rho-max", "6", "--exact", "--out", "e.csv"],
+    "erasure-sample": ["erasure", "--code", "eh6", "--rho-min", "5", "--rho-max", "6", "--sample", "2000", "--out", "e.csv"],
+    "erasure-psi": ["erasure", "--code", "pan7", "--rho-min", "4", "--rho-max", "8", "--psi", "--out", "e.csv"],
+    "erasure-recursive": ["erasure", "--code", "pan7", "--rho-min", "4", "--rho-max", "7", "--recursive", "2", "--out", "e.csv"],
+    "erasure-rho-order": ["erasure", "--code", "eh5", "--rho-min", "6", "--rho-max", "4", "--out", "e.csv"],
+    "table-1": ["table", "--which", "1", "--codes", "eh7", "--rhos", "4,8", "--samples", "2000", "--exact-limit", "10000000", "--out", "t.csv"],
+    "table-2-plain": ["table", "--which", "2", "--p", ",".join(P_GRID), "--dplus", "3,6", "--trials", "20", "--out", "t.csv"],
+    "table-2-stratified": ["table", "--which", "2", "--p", "1e-2,1e-3", "--dplus", "4", "--stratified", "--per-stratum", "2", "--out", "t.csv"],
+    "no-subcommand": [],
+}
+for p in P_GRID:
+    CASES[f"simulate-plain-{p}"] = ["simulate", "--p", p, "--dplus", "4", "--trials", "30", "--out", "s.json"]
+    CASES[f"simulate-stratified-{p}"] = ["simulate", "--p", p, "--dplus", "5", "--trials", "1", "--stratified", "--per-stratum", "2", "--out", "s.json"]
+
+
+REFUSED = {"construct-missing-r", "spectrum-missing-file", "erasure-rho-order", "no-subcommand"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_exit_code_is_documented(tmp_path, name):
+    res = run(tmp_path, CASES[name])
+    assert res.returncode in DOCUMENTED, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.returncode == (2 if name in REFUSED else 0), res.stderr
+
+
+def test_constructed_file_round_trips(tmp_path):
+    assert run(tmp_path, CASES["construct-panchenko-shortened"]).returncode == 0
+    res = run(tmp_path, ["erasure", "--code", "m.txt", "--rho-min", "4", "--rho-max", "5", "--exact", "--out", "e.csv"])
+    assert res.returncode == 0 and "Traceback" not in res.stderr
+
+
+BAD = {
+    "threads-not-a-number": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--exact", "--out", "e.csv"],
+                             {"QPCODES_THREADS": "two"}),
+    "erasure-negative-digits": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--digits", "-1", "--out", "e.csv"], {}),
+    "table-negative-digits": (["table", "--which", "2", "--p", "1e-1", "--dplus", "3", "--trials", "5", "--digits", "-1", "--out", "t.csv"], {}),
+    "erasure-negative-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "-5000", "--out", "e.csv"], {}),
+    "erasure-nan-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "nan", "--out", "e.csv"], {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD))
+def test_bad_input_exits_2_with_one_line(tmp_path, name):
+    argv, env = BAD[name]
+    res = run(tmp_path, argv, env)
+    assert res.returncode == 2
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert not list(tmp_path.iterdir())  # refused before writing anything
+
+
+@pytest.mark.parametrize("sidecar", ["{", '{"n": 16}', "[1]", '{"n": 16, "r": 5, "d": 4, "lineage": 3}'])
+def test_malformed_sidecar_exits_2_with_one_line(tmp_path, sidecar):
+    assert run(tmp_path, CASES["construct-eh"]).returncode == 0
+    (tmp_path / "m.txt.json").write_text(sidecar)
+    res = run(tmp_path, ["spectrum", "--code", "m.txt", "--out", "s.json"])
+    assert res.returncode == 2
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert "sidecar" in res.stderr

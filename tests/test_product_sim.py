@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 from fractions import Fraction
@@ -6,12 +7,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qpcodes import product_sim
+from qpcodes import cli, product_sim
+from qpcodes.construct import Code, CodeSpec
 from qpcodes.errors import PreconditionError
+from qpcodes.gf2 import BitMatrix
 from qpcodes.product_sim import (
     DecodeOutcome,
+    ProductCode,
     SimConfig,
     _binomial_weights,
+    _erasure_table,
+    _fill_lines,
+    _syndromes,
     channel,
     decode,
     default_product_code,
@@ -45,8 +52,6 @@ def test_component_codes():
     assert PC.row_code.spec.d == 4
     assert PC.bits == 5184
     assert sorted(PC.parity_row + PC.info_row) == list(range(72))
-    assert ((PC.gen_row.astype(int) @ PC.h_row.T) % 2 == 0).all()
-    assert ((PC.gen_col.astype(int) @ PC.h_col.T) % 2 == 0).all()
 
 
 def test_encode_is_systematic():
@@ -55,6 +60,53 @@ def test_encode_is_systematic():
     assert np.array_equal(payload, arr[np.ix_(PC.info_col, PC.info_row)])
     assert ((arr.astype(int) @ PC.h_row.T) % 2 == 0).all()
     assert ((arr.T.astype(int) @ PC.h_col.T) % 2 == 0).all()
+
+
+def test_encode_digest_is_pinned():
+    # arrays the generator-matrix encoder produced for the same payloads
+    digest = hashlib.sha256()
+    for seed in range(8):
+        payload = (derive_stream(seed, 0, 0).random((64, 64)) < 0.5).astype(np.uint8)
+        digest.update(encode(PC, payload).tobytes())
+    assert digest.hexdigest() == "b5d668c5c1ad604fadd840fef4240fcc89e40780da7537e655cc6780dafcd72f"
+
+
+def test_erasure_table_verdict_matches_brute_force():
+    h = PC.h_row
+    rng = np.random.default_rng(3)
+    subsets = [list(c) for k in range(4) for c in combinations(range(72), k)]
+    subsets += [sorted(rng.choice(72, size=k, replace=False).tolist()) for k in range(4, 10) for _ in range(150)]
+    lines = (rng.random((64, 72)) < 0.5).astype(np.uint8)
+    verdicts = set()
+    for t, idx in enumerate(subsets):
+        table = _erasure_table(h, idx)
+        independent = PC.row_code.H.columns_independent(idx)
+        assert (table is not None) == independent, idx
+        verdicts.add(independent)
+        if table is None or (t % 50 and len(idx) < 4):
+            continue
+        erased = lines.copy()
+        erased[:, idx] = 0
+        fits = table[_syndromes(erased, h)] >= 0
+        filled = _fill_lines(lines, h, idx, table)
+        assert not _syndromes(filled[fits], h).any()
+        assert not filled[np.ix_(~fits, idx)].any()
+    assert verdicts == {True, False}
+
+
+def _code_with_rows(r):
+    rows = tuple((1 << i) | (1 << r) for i in range(r))
+    return Code(CodeSpec(r + 1, r, None), BitMatrix(rows, r + 1))
+
+
+def test_component_h_over_16_rows_is_refused(monkeypatch, tmp_path):
+    ProductCode(_code_with_rows(16), _code_with_rows(16))
+    tall = _code_with_rows(17)
+    with pytest.raises(PreconditionError, match="at most 16"):
+        ProductCode(PC.row_code, tall)
+    monkeypatch.setattr(cli, "default_product_code", lambda: ProductCode(tall, tall))
+    argv = ["simulate", "--p", "0.01", "--dplus", "4", "--trials", "5", "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 2
 
 
 def test_encode_rejects_wrong_shape():
@@ -274,6 +326,20 @@ def test_plain_counts_match_per_trial_decode():
         failures += out.outcome != "success"
         mis += out.outcome == "miscorrection"
     assert (res.failures, res.miscorrections) == (failures, mis)
+
+
+def test_counts_are_pinned():
+    # values the mask-tracking decoder gave for the same runs
+    plain = failure_probability(PC, SimConfig(p=1e-3, d_plus=4, trials=3000, master_seed=17))
+    assert (plain.failures, plain.miscorrections) == (1618, 0)
+    assert plain.estimate == Fraction(809, 1500)
+    strat = failure_probability(
+        PC,
+        SimConfig(p=1.2e-3, d_plus=5, trials=1, master_seed=17, strategy="stratified"),
+        per_stratum=150,
+    )
+    assert (strat.trials, strat.failures, strat.miscorrections) == (4650, 3703, 0)
+    assert float(strat.estimate) == 0.5396517995295458
 
 
 def test_failures_monotone_in_d_plus():
