@@ -36,7 +36,7 @@ from .construct import (
     seed,
     shorten,
 )
-from .erasure import TABLE1_REFERENCE, erasure_report, table1, table1_codes
+from .erasure import TABLE1_REFERENCE, erasure_report, table1
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix
 from .product_sim import (
@@ -47,7 +47,9 @@ from .product_sim import (
 )
 from .spectrum import oracle_spectrum, spectrum_by_doubling, spectrum_of_matrix
 
-_NAMED_CODE = re.compile(r"^(eh|hamming|pan|panchenko)(\d+)$", re.IGNORECASE)
+# every spelling of the two named families, to the label Table 1 uses
+_FAMILIES = {"eh": "hamming", "hamming": "hamming", "pan": "panchenko", "panchenko": "panchenko"}
+_NAMED_CODE = re.compile(rf"^({'|'.join(_FAMILIES)})(\d+)$", re.IGNORECASE)
 
 # the g values for which a starting matrix ships with the package
 _GENERAL_SEEDS = {0: "M", 2: "S", 3: "example_9_5"}
@@ -57,59 +59,60 @@ def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    out: Path,
-    command: str,
-    params: dict,
-    master_seed: int | None,
-    inputs: Iterable[Path],
-    outputs: Iterable[Path],
-) -> None:
-    manifest = {
-        "command": command,
-        "params": params,
-        "master_seed": master_seed,
-        "version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-    }
-    Path(str(out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+def _json(obj, sort_keys: bool = False) -> str:
+    return json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
 
 
-def _params(args: argparse.Namespace) -> dict:
-    skip = {"handler"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _write_table(
-    args: argparse.Namespace,
-    header: list[str],
-    rows: list[list],
-    sidecar: dict,
-    inputs: Iterable[Path] = (),
-) -> None:
-    """The CSV at --out, its JSON sidecar <out>.json, and the manifest."""
-    out = Path(args.out)
+def _csv(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    out.write_text(buf.getvalue())
-    side = Path(str(out) + ".json")
-    side.write_text(json.dumps(sidecar, indent=2) + "\n")
-    _write_manifest(out, args.command, _params(args), args.seed, inputs, [out, side])
+    return buf.getvalue()
+
+
+def _emit(
+    args: argparse.Namespace,
+    primary: str,
+    sidecar: dict | None = None,
+    inputs: Iterable[Path] = (),
+    master_seed: int | None = None,
+) -> None:
+    """The primary artifact at --out, its JSON sidecar <out>.json if there
+    is one, and the manifest <out>.manifest.json over both."""
+    out = Path(args.out)
+    files = {out: primary}
+    if sidecar is not None:
+        files[Path(str(out) + ".json")] = _json(sidecar)
+    for path, text in files.items():
+        path.write_text(text)
+    manifest = {
+        "command": args.command,
+        "params": {k: v for k, v in sorted(vars(args).items()) if k != "handler"},
+        "master_seed": master_seed,
+        "version": __version__,
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "outputs": {str(p): _sha256(p) for p in files},
+    }
+    Path(str(out) + ".manifest.json").write_text(_json(manifest, sort_keys=True))
+
+
+def _parse_name(token: str) -> tuple[str, int] | None:
+    """(family label, r) for a code named like eh7 or panchenko8, else None."""
+    m = _NAMED_CODE.match(token)
+    return (_FAMILIES[m.group(1).lower()], int(m.group(2))) if m else None
+
+
+def _build(family: str, r: int) -> Code:
+    return extended_hamming(r) if family == "hamming" else panchenko(r)
 
 
 def _resolve_code(token: str) -> tuple[Code, list[Path]]:
     """A code named like eh7/panchenko8, or a matrix file with optional
     <file>.json sidecar carrying its metadata."""
-    m = _NAMED_CODE.match(token)
-    if m:
-        family, r = m.group(1).lower(), int(m.group(2))
-        built = extended_hamming(r) if family in ("eh", "hamming") else panchenko(r)
-        return built, []
+    name = _parse_name(token)
+    if name:
+        return _build(*name), []
     path = Path(token)
     if not path.is_file():
         raise PreconditionError(
@@ -153,14 +156,10 @@ def _exact(value) -> str | None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> None:
-    if args.family == "eh":
+    if args.family in ("eh", "panchenko"):
         if args.r is None:
-            raise PreconditionError("--family eh needs --r")
-        code = extended_hamming(args.r)
-    elif args.family == "panchenko":
-        if args.r is None:
-            raise PreconditionError("--family panchenko needs --r")
-        code = panchenko(args.r)
+            raise PreconditionError(f"--family {args.family} needs --r")
+        code = _build(_FAMILIES[args.family], args.r)
     elif args.family == "general":
         if args.r is None or args.g is None:
             raise PreconditionError("--family general needs --r and --g")
@@ -182,14 +181,9 @@ def _cmd_construct(args: argparse.Namespace) -> None:
         if not 0 < args.shorten < n:
             raise PreconditionError(f"--shorten must be in 1..{n - 1}")
         code = shorten(code, list(range(n - args.shorten, n)))
-
-    out = Path(args.out)
-    out.write_text(code.H.to_text())
-    sidecar = Path(str(out) + ".json")
-    sidecar.write_text(json.dumps(code.spec.to_json(), indent=2) + "\n")
-    _write_manifest(out, "construct", _params(args), None, [], [out, sidecar])
+    _emit(args, code.H.to_text(), code.spec.to_json())
     spec = code.spec
-    print(f"wrote [{spec.n},{code.dimension()},{spec.d}] matrix to {out}")
+    print(f"wrote [{spec.n},{code.dimension()},{spec.d}] matrix to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +205,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
                 "recursion and oracle spectra disagree; refusing to write output"
             )
         ws = by_oracle
-    out = Path(args.out)
-    out.write_text(json.dumps(ws.to_json(), indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "spectrum", _params(args), None, inputs, [out])
-    print(f"wrote spectrum of [{ws.n},{ws.dimension}] code to {out}")
+    _emit(args, _json(ws.to_json(), sort_keys=True), inputs=inputs)
+    print(f"wrote spectrum of [{ws.n},{ws.dimension}] code to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +237,22 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
     if args.rho_min > args.rho_max:
         raise PreconditionError("--rho-min exceeds --rho-max")
     if args.sample is not None:
-        method, samples = "sampled", args.sample
+        method = "sampled"
     elif args.exact:
-        method, samples = "exact", 0
+        method = "exact"
     elif args.psi:
-        method, samples = "psi-bound", 0
+        method = "psi-bound"
     elif args.recursive is not None:
-        method, samples = "recursive", 0
+        method = "recursive"
     else:
-        method, samples = "auto", 10**8
+        method = "auto"
 
     reports = [
         erasure_report(
             code,
             rho,
             method=method,
-            samples=samples or 10**8,
+            samples=10**8 if args.sample is None else args.sample,
             master_seed=args.seed,
             z=args.z,
             recursion_depth=args.recursive,
@@ -309,7 +301,7 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
         )
 
     sidecar = {"code": code.spec.to_json(), "digits": args.digits, "rows": rows_json}
-    _write_table(args, _ERASURE_COLUMNS, rows, sidecar, inputs)
+    _emit(args, _csv(_ERASURE_COLUMNS, rows), sidecar, inputs, args.seed)
     print(f"wrote {len(reports)} erasure rows to {args.out}")
 
 
@@ -332,24 +324,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         per_stratum=args.per_stratum,
         k_max=args.kmax,
     )
-    blob = res.to_json()
-    payload = {
-        key: blob[key]
-        for key in (
-            "p",
-            "d_plus",
-            "trials",
-            "failures",
-            "miscorrections",
-            "estimate",
-            "ci95",
-            "strategy",
-            "tail_bound",
-        )
-    }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    _write_manifest(out, "simulate", _params(args), args.seed, [], [out])
+    payload = res.to_json()
+    del payload["master_seed"]  # the manifest records it
+    _emit(args, _json(payload), master_seed=args.seed)
     print(
         f"simulated {res.trials} trials at p={args.p}, d_plus={args.dplus}: "
         f"failure estimate {float(res.estimate):.6g}"
@@ -360,18 +337,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 # table
 # ---------------------------------------------------------------------------
 
-_TABLE1_LABELS = {
-    "hamming7": ("hamming", 7),
-    "eh7": ("hamming", 7),
-    "panchenko7": ("panchenko", 7),
-    "pan7": ("panchenko", 7),
-    "hamming8": ("hamming", 8),
-    "eh8": ("hamming", 8),
-    "panchenko8": ("panchenko", 8),
-    "pan8": ("panchenko", 8),
-}
-
-
 def _parse_list(text: str, cast) -> list:
     try:
         return [cast(tok) for tok in text.split(",") if tok]
@@ -379,27 +344,21 @@ def _parse_list(text: str, cast) -> list:
         raise PreconditionError(f"bad list {text!r}: {exc}") from None
 
 
-def _table1_selection(tokens: list[str]) -> list[tuple[str, Code]]:
-    if not tokens:
-        return table1_codes()
-    picked = []
-    for tok in tokens:
-        key = _TABLE1_LABELS.get(tok.lower())
-        if key is None:
-            raise PreconditionError(
-                f"unknown benchmark code {tok!r}; choose from "
-                f"{', '.join(sorted(set(_TABLE1_LABELS)))}"
-            )
-        label, r = key
-        picked.append((label, extended_hamming(r) if label == "hamming" else panchenko(r)))
-    return picked
+def _table1_codes(tokens: list[str]) -> list[tuple[str, Code]]:
+    """(label, code) per --codes token, every token checked before any is built;
+    no tokens means the published grid, the keys of TABLE1_REFERENCE."""
+    names = [_parse_name(tok) for tok in tokens] if tokens else list(TABLE1_REFERENCE)
+    for tok, name in zip(tokens, names):
+        if name is None:
+            raise PreconditionError(f"unknown benchmark code {tok!r}; name one like eh7 or panchenko8")
+    return [(family, _build(family, r)) for family, r in names]
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
     if args.digits < 0:
         raise PreconditionError("--digits must be >= 0")
     if args.which == 1:
-        codes = _table1_selection(_parse_list(args.codes, str) if args.codes else [])
+        codes = _table1_codes(_parse_list(args.codes, str) if args.codes else [])
         rhos = tuple(_parse_list(args.rhos, int))
         cells = table1(
             codes,
@@ -436,7 +395,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
                 }
             )
         header = ["code", "r", "n", "rho", "method", "value", "reference", "deviation"]
-        _write_table(args, header, rows, {"table": 1, "rows": rows_json})
+        _emit(args, _csv(header, rows), {"table": 1, "rows": rows_json}, master_seed=args.seed)
         print(f"wrote {len(cells)} benchmark cells to {args.out}")
         return
 
@@ -484,7 +443,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
             )
     header = ["p", "d_plus", "method", "trials", "failures", "estimate",
               "ci95", "tail_bound", "reference", "deviation"]
-    _write_table(args, header, rows, {"table": 2, "rows": rows_json})
+    _emit(args, _csv(header, rows), {"table": 2, "rows": rows_json}, master_seed=args.seed)
     print(f"wrote {len(rows_json)} simulation cells to {args.out}")
 
 

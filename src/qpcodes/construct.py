@@ -8,7 +8,6 @@ asserted equal, which pins down the column ordering once and for all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import BudgetError, ConsistencyError, PreconditionError
@@ -31,8 +30,9 @@ __all__ = [
 
 SEED_NAMES = ("M", "S", "EH3", "example_9_5")
 
-# enumeration guard for recomputing distance / covering radius
-_RANK_BUDGET = 24
+# the longest code a doubling may build: every family builder goes through
+# double, so this one cap bounds them all
+_MAX_COLUMNS = 1 << 18
 _SYNDROME_BUDGET_R = 16
 
 
@@ -128,6 +128,8 @@ def double(c: Code) -> Code:
     if d is not None and d < 3:
         raise PreconditionError("doubling bookkeeping is defined for d >= 3 only")
     n = c.spec.n
+    if 2 * n > _MAX_COLUMNS:
+        raise BudgetError(f"doubling to {2 * n} columns passes the {_MAX_COLUMNS}-column cap")
     top = ((1 << n) - 1) << n
     rows = (top,) + tuple(r | (r << n) for r in c.H.rows)
     new_d = 3 if d == 3 else 4
@@ -155,22 +157,19 @@ def _block_form(seed_h: BitMatrix, r: int, g: int) -> BitMatrix:
     top_rows = r - g - 2
     width = seed_h.cols
     d_blocks = 1 << top_rows
-    n = width * d_blocks
     rows = []
     for t in range(top_rows):
-        bit_pos = top_rows - 1 - t  # row t carries this bit of the block counter
-        acc = 0
-        block_mask = (1 << width) - 1
-        for k in range(d_blocks):
-            if (k >> bit_pos) & 1:
-                acc |= block_mask << (width * k)
-        rows.append(acc)
-    for sr in seed_h.rows:
-        acc = 0
-        for k in range(d_blocks):
-            acc |= sr << (width * k)
-        rows.append(acc)
-    return BitMatrix(tuple(rows), n)
+        # row t carries bit b = top_rows-1-t of the block counter: 2^b blocks
+        # off, then 2^b on, 2^t times over
+        half = width << (top_rows - 1 - t)
+        rows.append(_repeat(((1 << half) - 1) << half, 2 * half, 1 << t))
+    rows += [_repeat(sr, width, d_blocks) for sr in seed_h.rows]
+    return BitMatrix(tuple(rows), width * d_blocks)
+
+
+def _repeat(pattern: int, width: int, times: int) -> int:
+    """times copies of a width-bit pattern side by side."""
+    return pattern * (((1 << (width * times)) - 1) // ((1 << width) - 1))
 
 
 def panchenko(r: int) -> Code:

@@ -10,7 +10,7 @@ decoding. Three roads to it live here:
 * s_rho_exact / s_rho_sampled: the true count by pruned enumeration, or an
   unbiased subset-sampling estimate when C(n,rho) is out of budget;
 * psi_tilde and friends: the recursive refinement of psi driven by spectra
-  of shortened codes, plus the binomial/entropy approximations.
+  of shortened codes, plus the closed-form entropy floors.
 
 The enumeration and sampling kernels share one elimination: H's columns
 are written in the coordinates of a row basis of H, one word per column in
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .construct import Code, extended_hamming, panchenko, shorten
+from .construct import Code, shorten
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix, gf2_basis
 from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_map
@@ -52,7 +52,6 @@ __all__ = [
     "s_rho_exact",
     "s_rho_sampled",
     "table1",
-    "table1_codes",
     "trailing_shortening_provider",
 ]
 
@@ -463,18 +462,15 @@ def erasure_report(
     method: str = "auto",
     samples: int = 10**8,
     master_seed: int = 1,
-    budget: int = 10**10,
     exact_limit: int = 10**9,
-    threads: int | None = None,
     z: float | None = None,
-    provider: SpectrumProvider | None = None,
     recursion_depth: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
 ) -> ErasureReport:
     """All erasure statistics for one (code, rho) in a single record.
 
     method: auto picks exact when C(n,rho) <= exact_limit, else sampling;
-    psi-bound and recursive skip the count entirely.
+    psi-bound and recursive skip the count entirely. Every spectrum comes
+    from trailing_shortening_provider, the full-length one included.
     """
     n = code.spec.n
     d = code.spec.d
@@ -494,9 +490,8 @@ def erasure_report(
             delta_lower=zero, delta_tilde=zero, delta_tilde_2=zero,
             method="exact", s_rho_exact=0, delta_exact=zero,
         )
-    full = oracle_spectrum(code)
-    raw_psi = psi(n, d, rho, full)
-    prov = provider if provider is not None else trailing_shortening_provider(code)
+    prov = trailing_shortening_provider(code)
+    raw_psi = psi(n, d, rho, prov(n))
     raw_tilde = psi_tilde(n, d, rho, prov, depth=recursion_depth)
     tilde2 = psi_tilde(n, d, rho, prov, depth=2)
     chosen = method
@@ -505,9 +500,9 @@ def erasure_report(
     s_exact: int | None = None
     sample: SampleEstimate | None = None
     if chosen == "exact":
-        s_exact = s_rho_exact(code, rho, budget=budget, threads=threads, progress=progress)
+        s_exact = s_rho_exact(code, rho)
     elif chosen == "sampled":
-        sample = s_rho_sampled(code, rho, samples, master_seed, threads=threads)
+        sample = s_rho_sampled(code, rho, samples, master_seed)
     elif chosen not in ("psi-bound", "recursive"):
         raise PreconditionError(f"unknown method {chosen!r}")
     bounds = delta_entropy_bound(d, rho, z) if z is not None and d <= rho else None
@@ -562,29 +557,21 @@ class TableCell:
         return float(self.value) - float(self.reference)
 
 
-def table1_codes() -> list[tuple[str, Code]]:
-    return [
-        ("hamming", extended_hamming(7)),
-        ("panchenko", panchenko(7)),
-        ("hamming", extended_hamming(8)),
-        ("panchenko", panchenko(8)),
-    ]
-
-
 def table1(
-    codes: list[tuple[str, Code]] | None = None,
+    codes: list[tuple[str, Code]],
     rhos: tuple[int, ...] = (4, 5, 6, 7),
     *,
     exact_limit: int = 10**9,
     samples: int = 10**8,
     master_seed: int = 1,
-    budget: int = 10**10,
-    threads: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
 ) -> list[TableCell]:
-    """The benchmark delta grid: exact counts where affordable, sampling above."""
+    """The benchmark delta grid: exact counts where affordable, sampling above.
+
+    codes are (label, code) pairs; a label and r keyed in TABLE1_REFERENCE
+    pick up the published value.
+    """
     cells = []
-    for label, code in codes if codes is not None else table1_codes():
+    for label, code in codes:
         for rho in rhos:
             rep = erasure_report(
                 code,
@@ -592,10 +579,7 @@ def table1(
                 method="auto",
                 samples=samples,
                 master_seed=master_seed,
-                budget=budget,
                 exact_limit=exact_limit,
-                threads=threads,
-                progress=progress,
             )
             ref = TABLE1_REFERENCE.get((label, code.spec.r), {}).get(rho)
             cells.append(TableCell(label, code.spec.r, code.spec.n, rho, rep, ref))

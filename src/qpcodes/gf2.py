@@ -13,47 +13,10 @@ from typing import Iterable, Sequence
 from .errors import PreconditionError
 
 __all__ = [
-    "BitVector",
     "BitMatrix",
     "gf2_basis",
     "gf2_rank",
 ]
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """A length-n vector over GF(2), payload packed into one int."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise PreconditionError("negative length")
-        if self.bits < 0 or self.bits >> self.length:
-            raise PreconditionError("payload has bits beyond declared length")
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError(j)
-        return (self.bits >> j) & 1
-
-    def to_text(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
-
-    @classmethod
-    def from_text(cls, s: str) -> "BitVector":
-        if set(s) - {"0", "1"}:
-            raise PreconditionError(f"not a bit string: {s!r}")
-        bits = 0
-        for j, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << j
-        return cls(len(s), bits)
 
 
 @dataclass(frozen=True)
@@ -74,9 +37,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.rows[i])
-
     def column(self, j: int) -> int:
         """Column j packed into an int, bit i = entry in row i."""
         if not 0 <= j < self.cols:
@@ -88,7 +48,9 @@ class BitMatrix:
 
     def column_ints(self) -> list[int]:
         """All columns as ints (bit i = row i). The kernels work on this form."""
-        return [self.column(j) for j in range(self.cols)]
+        if not self.rows:
+            return [0] * self.cols
+        return [_from_bits("".join(col)) for col in zip(*self._bit_rows())]
 
     def rank(self) -> int:
         return gf2_rank(self.rows)
@@ -98,31 +60,24 @@ class BitMatrix:
         for j in idx:
             if not 0 <= j < self.cols:
                 raise PreconditionError(f"column index {j} out of range")
-        new_rows = []
-        for r in self.rows:
-            nr = 0
-            for pos, j in enumerate(idx):
-                nr |= ((r >> j) & 1) << pos
-            new_rows.append(nr)
-        return BitMatrix(tuple(new_rows), len(idx))
+        rows = tuple(_from_bits("".join(bits[j] for j in idx)) for bits in self._bit_rows())
+        return BitMatrix(rows, len(idx))
 
     def delete_columns(self, idx: Sequence[int]) -> "BitMatrix":
-        keep = [j for j in range(self.cols) if j not in set(idx)]
-        return self.select_columns(keep)
+        drop = set(idx)
+        return self.select_columns([j for j in range(self.cols) if j not in drop])
 
     def columns_independent(self, idx: Sequence[int]) -> bool:
         """True iff the selected columns are linearly independent over GF(2)."""
         return len(gf2_basis(self.column(j) for j in idx)) == len(idx)
 
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(tuple(self.column(j) for j in range(self.cols)), len(self.rows))
-
     def to_text(self) -> str:
         """Text form: 'rows cols' header, then one 0/1 line per row."""
-        lines = [f"{len(self.rows)} {self.cols}"]
-        for r in self.rows:
-            lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(self.cols)))
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"{len(self.rows)} {self.cols}", *self._bit_rows()]) + "\n"
+
+    def _bit_rows(self) -> list[str]:
+        """Each row as a '0'/'1' string, column 0 first."""
+        return [bin(r | 1 << self.cols)[3:][::-1] for r in self.rows]
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
@@ -139,8 +94,13 @@ class BitMatrix:
         for ln in lines[1:]:
             if len(ln) != nc or set(ln) - {"0", "1"}:
                 raise PreconditionError(f"bad row line: {ln!r}")
-            rows.append(BitVector.from_text(ln).bits)
+            rows.append(_from_bits(ln))
         return cls(tuple(rows), nc)
+
+
+def _from_bits(bits: str) -> int:
+    """The int whose bit j is character j of a '0'/'1' string."""
+    return int(bits[::-1] or "0", 2)
 
 
 def gf2_basis(vectors: Iterable[int]) -> list[int]:

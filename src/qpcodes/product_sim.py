@@ -56,6 +56,8 @@ TABLE2_REFERENCE: dict[tuple[float, int], str] = {
 
 _SUCCESS, _DETECTED, _MISCORRECTION = 0, 1, 2
 _CHUNK_TRIALS = 1024
+# strata with P(K=k) below this are dropped; their mass is the tail bound
+_EPS_TAIL = 1e-12
 # an erasure table has one entry per packed syndrome, 2^rows in all
 _MAX_ROWS = 16
 
@@ -334,29 +336,25 @@ def failure_probability(
     pc: ProductCode,
     cfg: SimConfig,
     *,
-    eps_tail: float = 1e-12,
     per_stratum: int = 2000,
     k_max: int | None = None,
     threads: int | None = None,
-    chunk_trials: int = _CHUNK_TRIALS,
 ) -> SimResult:
     """Estimated probability that a trial does not end in success.
 
     plain: cfg.trials independent channel draws, one derived stream per
     trial index, so any prefix/partition of the work gives identical bits.
     stratified: condition on the total error count K ~ Binomial(bits, p)
-    with exact rational weights; strata with P(K=k) < eps_tail are dropped
-    and their total mass is reported as tail_bound (an upper bound on the
+    with exact rational weights; strata with P(K=k) < _EPS_TAIL (1e-12) or
+    k > k_max are dropped and their total mass is reported as tail_bound (an upper bound on the
     truncation error). per_stratum trials are spent in each kept stratum.
     """
     if cfg.strategy == "plain":
-        return _plain_failure(pc, cfg, threads, chunk_trials)
-    return _stratified_failure(pc, cfg, eps_tail, per_stratum, k_max, threads)
+        return _plain_failure(pc, cfg, threads)
+    return _stratified_failure(pc, cfg, per_stratum, k_max, threads)
 
 
-def _plain_failure(
-    pc: ProductCode, cfg: SimConfig, threads: int | None, chunk_trials: int
-) -> SimResult:
+def _plain_failure(pc: ProductCode, cfg: SimConfig, threads: int | None) -> SimResult:
     if cfg.p == 0.0:
         # the channel is the identity: every trial is the same clean success
         return SimResult(
@@ -364,9 +362,9 @@ def _plain_failure(
             miscorrections=0, estimate=Fraction(0), ci95=_wald_halfwidth(0, cfg.trials),
             strategy="plain", master_seed=cfg.master_seed,
         )
+    size = _CHUNK_TRIALS
     chunks = [
-        (i * chunk_trials, min(chunk_trials, cfg.trials - i * chunk_trials))
-        for i in range((cfg.trials + chunk_trials - 1) // chunk_trials)
+        (i * size, min(size, cfg.trials - i * size)) for i in range((cfg.trials + size - 1) // size)
     ]
     failures = 0
     mis = 0
@@ -426,16 +424,15 @@ def _stratum_outcomes(
 def _stratified_failure(
     pc: ProductCode,
     cfg: SimConfig,
-    eps_tail: float,
     per_stratum: int,
     k_max: int | None,
     threads: int | None,
 ) -> SimResult:
     if per_stratum < 1:
         raise PreconditionError("per_stratum must be >= 1")
-    weights, tail = _binomial_weights(pc.bits, cfg.p, eps_tail, k_max)
+    weights, tail = _binomial_weights(pc.bits, cfg.p, _EPS_TAIL, k_max)
     if not weights:
-        raise PreconditionError("every stratum fell below eps_tail; raise eps_tail or k_max")
+        raise PreconditionError(f"every stratum has P(K=k) < {_EPS_TAIL} or k > k_max; raise k_max")
     ks = sorted(weights)
     with thread_map(partial(_stratum_outcomes, pc, cfg, per_stratum), ks, threads) as parts:
         outcomes = list(parts)

@@ -16,13 +16,13 @@ DOCUMENTED = {0, 2, 3, 4}
 P_GRID = ["1e-1", "1e-2", "5e-3", "1e-3", "5e-4"]
 
 
-def run(tmp_path, argv, env=None):
+def run(tmp_path, argv, env=None, timeout=120):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     full_env = dict(os.environ, PYTHONPATH=path, QPCODES_THREADS="1", OPENBLAS_NUM_THREADS="1")
     full_env.update(env or {})
     return subprocess.run(
         [sys.executable, "-m", "qpcodes.cli", *argv],
-        cwd=tmp_path, env=full_env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=full_env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -76,6 +76,7 @@ BAD = {
     "table-negative-digits": (["table", "--which", "2", "--p", "1e-1", "--dplus", "3", "--trials", "5", "--digits", "-1", "--out", "t.csv"], {}),
     "erasure-negative-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "-5000", "--out", "e.csv"], {}),
     "erasure-nan-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "nan", "--out", "e.csv"], {}),
+    "erasure-zero-samples": (["erasure", "--code", "pan5", "--rho-min", "4", "--rho-max", "4", "--sample", "0", "--out", "e.csv"], {}),
 }
 
 
@@ -86,6 +87,14 @@ def test_bad_input_exits_2_with_one_line(tmp_path, name):
     assert res.returncode == 2
     assert len(res.stderr.splitlines()) == 1, res.stderr
     assert not list(tmp_path.iterdir())  # refused before writing anything
+
+
+@pytest.mark.parametrize("family", [["eh"], ["general", "--g", "0"]])
+def test_construct_past_the_length_cap_exits_4_quickly(tmp_path, family):
+    res = run(tmp_path, ["construct", "--family", *family, "--r", "30", "--out", "m.txt"], timeout=5)
+    assert res.returncode == 4, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("sidecar", ["{", '{"n": 16}', "[1]", '{"n": 16, "r": 5, "d": 4, "lineage": 3}'])

@@ -16,7 +16,7 @@ from qpcodes.construct import (
     seed,
     shorten,
 )
-from qpcodes.errors import ConsistencyError, PreconditionError
+from qpcodes.errors import BudgetError, PreconditionError
 from qpcodes.gf2 import BitMatrix
 
 
@@ -117,6 +117,14 @@ def test_double_distance_bookkeeping():
     assert double(hamming_734()).spec.d == 3  # d=3 stays 3
     with pytest.raises(PreconditionError):
         double(Code(CodeSpec(2, 1, 2, Lineage()), BitMatrix((0b11,), 2)))
+
+
+def test_family_builders_stop_at_the_length_cap():
+    assert extended_hamming(19).spec.n == 1 << 18  # the longest a doubling may build
+    for build in (lambda: extended_hamming(20), lambda: extended_hamming(30),
+                  lambda: panchenko(20), lambda: general_qp(30, 0, seed("M"))):
+        with pytest.raises(BudgetError):
+            build()
 
 
 def test_extended_hamming_dimensions():

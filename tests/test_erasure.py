@@ -365,6 +365,13 @@ def test_report_exact_path():
     assert rep.s_exact_or_estimate == 200
 
 
+def test_report_takes_every_spectrum_from_one_provider(monkeypatch):
+    calls = []
+    monkeypatch.setattr(erasure, "oracle_spectrum", lambda c: calls.append(c) or oracle_spectrum(c))
+    assert erasure_report(panchenko(6), 5).s_rho_exact == s_rho_exact(panchenko(6), 5)
+    assert [c.spec.n for c in calls] == [20]  # the full-length spectrum, once
+
+
 def test_report_below_distance():
     rep = erasure_report(pan5, 2)
     assert rep.delta_exact == 1

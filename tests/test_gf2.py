@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qpcodes.errors import PreconditionError
-from qpcodes.gf2 import BitMatrix, BitVector, gf2_rank
+from qpcodes.gf2 import BitMatrix, gf2_rank
 
 
 def dense_rank(rows, ncols):
@@ -22,17 +22,66 @@ def dense_rank(rows, ncols):
     return rank
 
 
-def test_bitvector_weight_and_text():
-    v = BitVector.from_text("01101")
-    assert v.length == 5
-    assert v.weight == 3
-    assert [v[j] for j in range(5)] == [0, 1, 1, 0, 1]
-    assert v.to_text() == "01101"
+# per-bit definitions of the text and column plumbing: the reference the
+# string-based implementations are checked against
 
 
-def test_bitvector_rejects_overflow_payload():
+def ref_to_text(rows, ncols):
+    lines = [f"{len(rows)} {ncols}"]
+    for r in rows:
+        lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(ncols)))
+    return "\n".join(lines) + "\n"
+
+
+def ref_from_line(line):
+    bits = 0
+    for j, ch in enumerate(line):
+        if ch == "1":
+            bits |= 1 << j
+    return bits
+
+
+def ref_column(rows, j):
+    v = 0
+    for i, r in enumerate(rows):
+        v |= ((r >> j) & 1) << i
+    return v
+
+
+def ref_select(rows, idx):
+    out = []
+    for r in rows:
+        nr = 0
+        for pos, j in enumerate(idx):
+            nr |= ((r >> j) & 1) << pos
+        out.append(nr)
+    return tuple(out)
+
+
+def test_matrix_rejects_overflow_row():
     with pytest.raises(PreconditionError):
-        BitVector(3, 0b1000)
+        BitMatrix((0b1000,), 3)
+    with pytest.raises(PreconditionError):
+        BitMatrix((-1,), 3)
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 7, 64, 65, 1000, 3001])
+def test_text_and_columns_match_per_bit_reference(ncols):
+    rng = random.Random(ncols)
+    for nrows in (0, 1, 5, 9):
+        rows = tuple(rng.getrandbits(ncols) if ncols else 0 for _ in range(nrows))
+        m = BitMatrix(rows, ncols)
+        text = m.to_text()
+        assert text == ref_to_text(rows, ncols)
+        if nrows and ncols:
+            assert BitMatrix.from_text(text) == m
+            assert [ref_from_line(ln) for ln in text.splitlines()[1:]] == list(rows)
+        assert m.column_ints() == [ref_column(rows, j) for j in range(ncols)]
+        idx = rng.sample(range(ncols), ncols // 3)
+        assert m.select_columns(idx).rows == ref_select(rows, idx)
+        drop = rng.sample(range(ncols), ncols // 4)
+        keep = [j for j in range(ncols) if j not in drop]
+        assert m.delete_columns(drop).rows == ref_select(rows, keep)
 
 
 def test_rank_known_matrices():

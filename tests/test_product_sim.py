@@ -287,12 +287,13 @@ def test_plain_zero_error_rate():
     assert res.estimate == 0
 
 
-def test_plain_is_deterministic_and_partition_invariant():
+def test_plain_is_deterministic_and_partition_invariant(monkeypatch):
     cfg = SimConfig(p=1.2e-3, d_plus=4, trials=400, master_seed=21)
     base = failure_probability(PC, cfg)
     again = failure_probability(PC, cfg)
     threaded = failure_probability(PC, cfg, threads=4)
-    rechunked = failure_probability(PC, cfg, chunk_trials=64)
+    monkeypatch.setattr(product_sim, "_CHUNK_TRIALS", 64)
+    rechunked = failure_probability(PC, cfg)
     assert base.failures == again.failures == threaded.failures == rechunked.failures
     assert base.estimate == Fraction(base.failures, 400)
 
@@ -306,10 +307,11 @@ def test_worker_error_leaves_no_pool_thread(monkeypatch, strategy):
         raise RuntimeError("classifier failed")
 
     monkeypatch.setattr(product_sim, "_classify_batch", failing)
+    monkeypatch.setattr(product_sim, "_CHUNK_TRIALS", 64)
     before = set(threading.enumerate())
     cfg = SimConfig(p=1.2e-3, d_plus=4, trials=64 * 40, master_seed=5, strategy=strategy)
     with pytest.raises(RuntimeError, match="classifier failed"):
-        failure_probability(PC, cfg, threads=4, chunk_trials=64, per_stratum=5)
+        failure_probability(PC, cfg, threads=4, per_stratum=5)
     assert calls
     assert [t for t in threading.enumerate() if t not in before] == []
 
