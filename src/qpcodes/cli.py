@@ -36,7 +36,7 @@ from .construct import (
     seed,
     shorten,
 )
-from .erasure import TABLE1_REFERENCE, erasure_report, table1
+from .erasure import TABLE1_REFERENCE, erasure_report, table1, trailing_shortening_provider
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix
 from .product_sim import (
@@ -247,6 +247,7 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
     else:
         method = "auto"
 
+    provider = trailing_shortening_provider(code)
     reports = [
         erasure_report(
             code,
@@ -256,6 +257,7 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
             master_seed=args.seed,
             z=args.z,
             recursion_depth=args.recursive,
+            provider=provider,
         )
         for rho in range(args.rho_min, args.rho_max + 1)
     ]

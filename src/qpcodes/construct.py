@@ -9,9 +9,13 @@ asserted equal, which pins down the column ordering once and for all.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix
+
+if TYPE_CHECKING:
+    from .spectrum import WeightSpectrum
 
 __all__ = [
     "Lineage",
@@ -216,8 +220,14 @@ def admissible_lengths(r: int) -> list[tuple[int, int]]:
 def shorten(c: Code, cols: list[int] | tuple[int, ...]) -> Code:
     """Drop the listed columns; redundancy rows are kept, distance is recomputed."""
     cols = tuple(cols)
-    if not cols:
-        return c
+    return _shorten(c, cols)[0] if cols else c
+
+
+def _shorten(c: Code, cols: tuple[int, ...]) -> tuple[Code, WeightSpectrum]:
+    """shorten for a nonempty column list, plus the spectrum of the
+    shortened code, from whose one row-space walk the distance is taken."""
+    from .spectrum import spectrum_of_matrix  # local import, avoids a cycle
+
     if len(set(cols)) != len(cols):
         raise PreconditionError("duplicate column indices")
     for j in cols:
@@ -227,11 +237,11 @@ def shorten(c: Code, cols: list[int] | tuple[int, ...]) -> Code:
         raise PreconditionError("cannot remove every column")
     h = c.H.delete_columns(cols)
     lineage = replace(c.spec.lineage, shortened=c.spec.lineage.shortened + cols)
-    new_d = _min_distance(h)
+    spectrum = spectrum_of_matrix(h)
+    new_d = spectrum.min_nonzero()
     if c.spec.d is not None and new_d is not None and new_d < c.spec.d:
         raise ConsistencyError("distance decreased under shortening")
-    spec = CodeSpec(h.cols, c.spec.r, new_d, lineage)
-    return Code(spec, h)
+    return Code(CodeSpec(h.cols, c.spec.r, new_d, lineage), h), spectrum
 
 
 def _min_distance(h: BitMatrix) -> int | None:

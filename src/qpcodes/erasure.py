@@ -12,11 +12,11 @@ decoding. Three roads to it live here:
 * psi_tilde and friends: the recursive refinement of psi driven by spectra
   of shortened codes, plus the closed-form entropy floors.
 
-The enumeration and sampling kernels share one elimination: H's columns
-are written in the coordinates of a row basis of H, one word per column in
-the narrowest unsigned dtype that holds rank(H) <= 64 bits, and a whole
-array of partial subsets is reduced with numpy array ops, one basis per
-array entry.
+The enumeration and sampling kernels share one elimination, the batched
+kernel in gf2: H's columns are written in the coordinates of a row basis
+of H, one word per column in the narrowest unsigned dtype that holds
+rank(H) <= 64 bits, and a whole array of partial subsets is reduced with
+numpy array ops, one basis per array entry.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .construct import Code, shorten
+from .construct import Code, _shorten
 from .errors import BudgetError, ConsistencyError, PreconditionError
-from .gf2 import BitMatrix, gf2_basis
+from .gf2 import BitMatrix, gf2_basis, independent_words, lowest_bit, reduce_words
 from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_map
 from .spectrum import WeightSpectrum, comb0, oracle_spectrum
 
@@ -101,15 +101,18 @@ def trailing_shortening_provider(code: Code) -> SpectrumProvider:
 
     Which columns are removed matters for the shortened spectra; this
     default is the reproducible convention used everywhere in the package.
+    Each length is walked once: a shortened code's distance check reads the
+    spectrum the provider keeps. Build one provider per code and pass it to
+    every erasure_report on that code.
     """
+    n = code.spec.n
     cache: dict[int, WeightSpectrum] = {}
 
     def provide(m: int) -> WeightSpectrum:
-        if not 0 < m <= code.spec.n:
-            raise PreconditionError(f"provider asked for length {m}, code has {code.spec.n}")
+        if not 0 < m <= n:
+            raise PreconditionError(f"provider asked for length {m}, code has {n}")
         if m not in cache:
-            sub = code if m == code.spec.n else shorten(code, list(range(m, code.spec.n)))
-            cache[m] = oracle_spectrum(sub)
+            cache[m] = oracle_spectrum(code) if m == n else _shorten(code, tuple(range(m, n)))[1]
         return cache[m]
 
     return provide
@@ -181,7 +184,7 @@ def delta_entropy_bound(d: int, rho: int, z: float) -> EntropyBounds:
 
 
 # ---------------------------------------------------------------------------
-# the independence kernel
+# column words for the independence kernel
 # ---------------------------------------------------------------------------
 
 
@@ -197,23 +200,6 @@ def _column_words(h: BitMatrix) -> np.ndarray:
         raise PreconditionError(f"rank {len(basis)} exceeds the 64-bit independence kernel")
     dtype = next(t for t in _WORDS if np.iinfo(t).bits >= len(basis))
     return np.array(BitMatrix(tuple(basis), h.cols).column_ints(), dtype=dtype)
-
-
-def _reduce(x: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    """Reduce words x (in place) against one echelon basis per entry.
-
-    basis[s] and pivots[s] hold the s-th basis vector of every entry and its
-    one-hot pivot. Vector s has no bit at the pivots of vectors before it,
-    so reducing in insertion order clears every pivot: x ends at zero iff it
-    lies in the span. A zero vector (pivot 0) reduces nothing.
-    """
-    for b, p in zip(basis, pivots):
-        x ^= b * ((x & p) != 0)
-    return x
-
-
-def _lowest_bit(x: np.ndarray) -> np.ndarray:
-    return x & (~x + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +220,7 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
         return 1
     last = np.array([j0], dtype=np.int64)
     basis = cols[j0 : j0 + 1].reshape(1, 1)
-    pivots = _lowest_bit(basis)
+    pivots = lowest_bit(basis)
     for level in range(1, rho):
         final = level + 1 == rho
         remaining = rho - level - 1
@@ -247,7 +233,7 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
             for lo in range(0, hi, _SLICE):
                 part = slice(lo, min(lo + _SLICE, hi))
                 pb, pp = basis[:, part], pivots[:, part]
-                x = _reduce(np.full(pb.shape[1], cols[j], dtype=cols.dtype), pb, pp)
+                x = reduce_words(np.full(pb.shape[1], cols[j], dtype=cols.dtype), pb, pp)
                 nz = x != 0
                 if final:
                     hits += int(np.count_nonzero(nz))
@@ -256,7 +242,7 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
                 if not xs.size:
                     continue
                 parts_basis.append(np.vstack([pb[:, nz], xs]))
-                parts_pivots.append(np.vstack([pp[:, nz], _lowest_bit(xs)]))
+                parts_pivots.append(np.vstack([pp[:, nz], lowest_bit(xs)]))
                 parts_last.append(np.full(xs.size, j, dtype=np.int64))
         if final:
             return hits
@@ -339,16 +325,7 @@ class SampleEstimate:
 
 def _count_hits(cols: np.ndarray, idxs: np.ndarray) -> int:
     """Rows of idxs (m, rho) whose columns are independent."""
-    vals = cols[idxs.T]
-    basis = np.empty_like(vals)
-    pivots = np.empty_like(vals)
-    ok = np.ones(idxs.shape[0], dtype=bool)
-    for t, x in enumerate(vals):
-        _reduce(x, basis[:t], pivots[:t])
-        ok &= x != 0
-        basis[t] = x
-        pivots[t] = _lowest_bit(x)
-    return int(np.count_nonzero(ok))
+    return int(np.count_nonzero(independent_words(cols[idxs.T])))
 
 
 def _sample_chunk(cols: np.ndarray, n: int, rho: int, master_seed: int, job: tuple[int, int]) -> int:
@@ -465,12 +442,15 @@ def erasure_report(
     exact_limit: int = 10**9,
     z: float | None = None,
     recursion_depth: int | None = None,
+    provider: SpectrumProvider | None = None,
 ) -> ErasureReport:
     """All erasure statistics for one (code, rho) in a single record.
 
     method: auto picks exact when C(n,rho) <= exact_limit, else sampling;
     psi-bound and recursive skip the count entirely. Every spectrum comes
-    from trailing_shortening_provider, the full-length one included.
+    from provider, the full-length one included; it must serve this code,
+    and defaults to a new trailing_shortening_provider(code), so callers
+    reporting several rho on one code pass one provider to share its walks.
     """
     n = code.spec.n
     d = code.spec.d
@@ -481,6 +461,13 @@ def erasure_report(
     if z is not None and not 0 <= z < math.inf:
         raise PreconditionError(f"z={z} must be finite and >= 0")
     total = math.comb(n, rho)
+    chosen = method
+    if method == "auto":
+        chosen = "exact" if total <= exact_limit else "sampled"
+    if chosen not in ("exact", "sampled", "psi-bound", "recursive"):
+        raise PreconditionError(f"unknown method {chosen!r}")
+    if chosen == "sampled" and samples < 1:
+        raise PreconditionError("need at least one sample")
     rank = code.H.rank()
     if rho > rank:
         # no rho columns can be independent; the closed-form bound is vacuous here
@@ -490,21 +477,16 @@ def erasure_report(
             delta_lower=zero, delta_tilde=zero, delta_tilde_2=zero,
             method="exact", s_rho_exact=0, delta_exact=zero,
         )
-    prov = trailing_shortening_provider(code)
+    prov = trailing_shortening_provider(code) if provider is None else provider
     raw_psi = psi(n, d, rho, prov(n))
     raw_tilde = psi_tilde(n, d, rho, prov, depth=recursion_depth)
     tilde2 = psi_tilde(n, d, rho, prov, depth=2)
-    chosen = method
-    if method == "auto":
-        chosen = "exact" if total <= exact_limit else "sampled"
     s_exact: int | None = None
     sample: SampleEstimate | None = None
     if chosen == "exact":
         s_exact = s_rho_exact(code, rho)
     elif chosen == "sampled":
         sample = s_rho_sampled(code, rho, samples, master_seed)
-    elif chosen not in ("psi-bound", "recursive"):
-        raise PreconditionError(f"unknown method {chosen!r}")
     bounds = delta_entropy_bound(d, rho, z) if z is not None and d <= rho else None
     return ErasureReport(
         n=n,
@@ -526,8 +508,10 @@ def erasure_report(
     )
 
 
-# reference four-digit decimals for the benchmark grid (printed values are
-# truncated, not rounded; comparisons must allow 1e-4 of truncation slack)
+# reference four-digit decimals for the benchmark grid. Most printed values
+# are truncated (pan8 rho=6: exact 0.883059, printed 0.8830), but eh8 rho=7
+# is rounded (exact 0.687853, printed 0.6879); comparisons allow 1e-4 of
+# slack, which covers either
 TABLE1_REFERENCE: dict[tuple[str, int], dict[int, str]] = {
     ("hamming", 7): {4: "0.9836", 5: "0.9180", 6: "0.7469", 7: "0.4121"},
     ("panchenko", 7): {4: "0.9870", 5: "0.9287", 6: "0.7656", 7: "0.4306"},
@@ -572,6 +556,7 @@ def table1(
     """
     cells = []
     for label, code in codes:
+        provider = trailing_shortening_provider(code)
         for rho in rhos:
             rep = erasure_report(
                 code,
@@ -580,6 +565,7 @@ def table1(
                 samples=samples,
                 master_seed=master_seed,
                 exact_limit=exact_limit,
+                provider=provider,
             )
             ref = TABLE1_REFERENCE.get((label, code.spec.r), {}).get(rho)
             cells.append(TableCell(label, code.spec.r, code.spec.n, rho, rep, ref))

@@ -3,6 +3,9 @@
 Rows and columns are Python ints used as bitsets; bit j of a row int is the
 entry in column j (least-significant bit = lowest column index). This is the
 convention used by the text format and by every kernel downstream.
+
+The batched kernel at the end decides independence for whole numpy arrays
+of such words at once, for the erasure counts and the simulator alike.
 """
 
 from __future__ import annotations
@@ -10,12 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import PreconditionError
 
 __all__ = [
     "BitMatrix",
     "gf2_basis",
     "gf2_rank",
+    "independent_words",
+    "lowest_bit",
+    "reduce_words",
 ]
 
 
@@ -124,3 +132,38 @@ def gf2_basis(vectors: Iterable[int]) -> list[int]:
 def gf2_rank(rows: Sequence[int]) -> int:
     """Rank of a matrix given as int-bitset rows."""
     return len(gf2_basis(rows))
+
+
+def reduce_words(x: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Reduce words x (in place) against one echelon basis per entry.
+
+    basis[s] and pivots[s] hold the s-th basis vector of every entry and its
+    one-hot pivot. Vector s has no bit at the pivots of vectors before it,
+    so reducing in insertion order clears every pivot: x ends at zero iff it
+    lies in the span. A zero vector (pivot 0) reduces nothing.
+    """
+    for b, p in zip(basis, pivots):
+        x ^= b * ((x & p) != 0)
+    return x
+
+
+def lowest_bit(x: np.ndarray) -> np.ndarray:
+    return x & (~x + 1)
+
+
+def independent_words(vals: np.ndarray) -> np.ndarray:
+    """True for every set whose words are linearly independent.
+
+    vals[t, i] is the t-th word of set i; vals is reduced in place. Each
+    word is reduced against the ones before it in its set and kept as the
+    next basis vector, so a set is independent iff no word reduces to zero.
+    """
+    basis = np.empty_like(vals)
+    pivots = np.empty_like(vals)
+    ok = np.ones(vals.shape[1:], dtype=bool)
+    for t, x in enumerate(vals):
+        reduce_words(x, basis[:t], pivots[:t])
+        ok &= x != 0
+        basis[t] = x
+        pivots[t] = lowest_bit(x)
+    return ok

@@ -11,7 +11,10 @@ array; visible only against the transmitted ground truth).
 
 Decoding is translation invariant, so the Monte Carlo drivers simulate the
 zero array and classify outcomes from the error pattern alone; the unit
-tests check the invariance against encoded random payloads.
+tests check the invariance against encoded random payloads. Each chunk of
+trials is classified in one batch pass over its row and column syndromes,
+and decode runs only for the routed trials with a silent line, the only
+ones that can end in a miscorrection.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
-from .gf2 import gf2_basis
+from .gf2 import gf2_basis, independent_words
 from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, thread_map
 
 __all__ = [
@@ -259,25 +262,50 @@ def decode(
 # ---------------------------------------------------------------------------
 
 
+def _erasable(flags: np.ndarray, words: list[int], cap: int) -> np.ndarray:
+    """Per trial, whether its flagged lines (True in a row of flags) are at
+    most cap in number and independent as columns of H, whose column ints
+    are words. No flagged line at all is an empty, independent set."""
+    counts = np.count_nonzero(flags, axis=1)
+    ok = counts == 0
+    few = np.flatnonzero((counts > 0) & (counts <= cap))
+    # the flagged indices of each trial first, in increasing order
+    order = np.argsort(~flags[few], axis=1, kind="stable")
+    words = np.asarray(words)
+    for c in range(1, cap + 1):
+        sel = counts[few] == c
+        if sel.any():
+            ok[few[sel]] = independent_words(words[order[sel, :c].T])
+    return ok
+
+
 def _classify_batch(pc: ProductCode, errors: np.ndarray, d_plus: int) -> np.ndarray:
     """Outcome codes for a batch of error arrays laid over the zero array.
 
-    Flag counts come from the syndromes of every row and every column;
-    only trials whose smaller flagged set is within d_plus need the full
-    per-trial decode.
+    Every trial is classified in one batch pass from the syndromes of its
+    rows and columns. A line is flagged when its syndrome is nonzero and
+    silent when it holds errors under a zero syndrome. As in decode, the
+    column route applies when at most min(d_plus, rows of H_row) columns
+    are flagged and they are independent in H_row; failing that, the row
+    route is tried the same way with rows and H_col, and a trial with
+    neither route is a detected failure. When no line on its route is
+    silent, every error of a routed trial lies in the erased lines, whose
+    refill is unique: a success. Only routed trials with a silent line,
+    the one way to a miscorrection, run the full per-trial decode.
     """
-    b = errors.shape[0]
-    row_counts = np.count_nonzero(_syndromes(errors, pc.h_row), axis=1)
-    col_counts = np.count_nonzero(_syndromes(errors.transpose(0, 2, 1), pc.h_col), axis=1)
-
-    any_err = errors.any(axis=(1, 2))
-    out = np.full(b, _DETECTED, dtype=np.int8)
-    out[~any_err] = _SUCCESS
-    silent = any_err & (row_counts == 0) & (col_counts == 0)
-    out[silent] = _MISCORRECTION
-    needs_full = any_err & ~silent & ((col_counts <= d_plus) | (row_counts <= d_plus))
+    row_flag = _syndromes(errors, pc.h_row) != 0
+    col_flag = _syndromes(errors.transpose(0, 2, 1), pc.h_col) != 0
+    by_cols = _erasable(col_flag, pc.row_cols, min(d_plus, pc.h_row.shape[0]))
+    routed = by_cols | _erasable(row_flag, pc.col_cols, min(d_plus, pc.h_col.shape[0]))
+    silent = np.where(
+        by_cols,
+        (errors.any(axis=1) & ~col_flag).any(axis=1),
+        (errors.any(axis=2) & ~row_flag).any(axis=1),
+    )
+    out = np.full(errors.shape[0], _DETECTED, dtype=np.int8)
+    out[routed & ~silent] = _SUCCESS
     zero = np.zeros((pc.n_col, pc.n_row), dtype=np.uint8)
-    for t in np.flatnonzero(needs_full):
+    for t in np.flatnonzero(routed & silent):
         res = decode(pc, errors[t], d_plus, transmitted=zero)
         out[t] = {"success": _SUCCESS, "detected_failure": _DETECTED, "miscorrection": _MISCORRECTION}[res.outcome]
     return out
@@ -380,33 +408,37 @@ def _plain_failure(pc: ProductCode, cfg: SimConfig, threads: int | None) -> SimR
     )
 
 
-def _binomial_weights(bits: int, p: float, eps_tail: float, k_max: int | None) -> tuple[dict[int, Fraction], Fraction]:
-    """Exact P(K=k) for every kept stratum, plus the dropped tail mass."""
+def _binomial_weights(bits: int, p: float, eps_tail: float, k_max: int | None) -> tuple[dict[int, int], int]:
+    """Integer numerators u_k of every kept stratum, and their common
+    denominator: P(K=k) = u_k / denominator exactly.
+
+    For p = a/c and b = c - a, u_k = C(bits,k) a^k b^(bits-k) over c^bits,
+    so the u_k of all strata sum to c^bits and the dropped tail is the
+    denominator minus the kept sum. A stratum is kept when k <= k_max and
+    P(K=k) >= eps_tail. u_k is unimodal in k, so the walk stops at the
+    first stratum below the cut that follows a kept one.
+    """
     pf = Fraction(Decimal(repr(p)))
     a, c = pf.numerator, pf.denominator
     b = c - a
     if b == 0:
-        if k_max is not None and k_max < bits:
-            return {}, Fraction(1)
-        return {bits: Fraction(1)}, Fraction(0)
-    # walk the integer numerators u_k = C(bits,k) a^k b^(bits-k) over the
-    # fixed denominator c^bits; every division below is exact, and Fraction
-    # normalization (a gcd on thousand-digit ints) happens only for the few
-    # strata that survive the cut
+        # p = 1: all the mass sits on k = bits
+        return ({bits: 1} if k_max is None or k_max >= bits else {}), 1
     denom = c**bits
     eps = Fraction(eps_tail)
     cut = eps.numerator * denom
     u = b**bits
-    kept: dict[int, Fraction] = {}
-    tail_num = 0
-    for k in range(bits + 1):
+    last = bits if k_max is None else min(bits, k_max)
+    kept: dict[int, int] = {}
+    # every division below is exact: u becomes C(bits,k) a^k b^(bits-k)
+    for k in range(last + 1):
         if k > 0:
             u = u * (bits - k + 1) * a // (k * b)
-        if (k_max is not None and k > k_max) or u * eps.denominator < cut:
-            tail_num += u
-        else:
-            kept[k] = Fraction(u, denom)
-    return kept, Fraction(tail_num, denom)
+        if u * eps.denominator >= cut:
+            kept[k] = u
+        elif kept:
+            break
+    return kept, denom
 
 
 def _stratum_outcomes(
@@ -430,13 +462,13 @@ def _stratified_failure(
 ) -> SimResult:
     if per_stratum < 1:
         raise PreconditionError("per_stratum must be >= 1")
-    weights, tail = _binomial_weights(pc.bits, cfg.p, _EPS_TAIL, k_max)
+    weights, denom = _binomial_weights(pc.bits, cfg.p, _EPS_TAIL, k_max)
     if not weights:
         raise PreconditionError(f"every stratum has P(K=k) < {_EPS_TAIL} or k > k_max; raise k_max")
     ks = sorted(weights)
     with thread_map(partial(_stratum_outcomes, pc, cfg, per_stratum), ks, threads) as parts:
         outcomes = list(parts)
-    estimate = Fraction(0)
+    numerator = 0  # of the estimate, over denom * per_stratum
     variance = 0.0
     failures = 0
     mis = 0
@@ -444,11 +476,13 @@ def _stratified_failure(
         f = int(np.count_nonzero(codes != _SUCCESS))
         failures += f
         mis += int(np.count_nonzero(codes == _MISCORRECTION))
-        estimate += weights[k] * Fraction(f, per_stratum)
+        numerator += weights[k] * f
         ptilde = (f + 1) / (per_stratum + 2)
-        variance += float(weights[k]) ** 2 * ptilde * (1.0 - ptilde) / per_stratum
+        # int / int is correctly rounded, as float(Fraction) is
+        variance += (weights[k] / denom) ** 2 * ptilde * (1.0 - ptilde) / per_stratum
     return SimResult(
         p=cfg.p, d_plus=cfg.d_plus, trials=per_stratum * len(ks), failures=failures,
-        miscorrections=mis, estimate=estimate, ci95=1.96 * math.sqrt(variance),
-        strategy="stratified", master_seed=cfg.master_seed, tail_bound=float(tail),
+        miscorrections=mis, estimate=Fraction(numerator, denom * per_stratum),
+        ci95=1.96 * math.sqrt(variance), strategy="stratified",
+        master_seed=cfg.master_seed, tail_bound=(denom - sum(weights.values())) / denom,
     )

@@ -77,6 +77,8 @@ BAD = {
     "erasure-negative-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "-5000", "--out", "e.csv"], {}),
     "erasure-nan-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "nan", "--out", "e.csv"], {}),
     "erasure-zero-samples": (["erasure", "--code", "pan5", "--rho-min", "4", "--rho-max", "4", "--sample", "0", "--out", "e.csv"], {}),
+    # rho above rank(H) needs no sampling, but the request is refused all the same
+    "erasure-zero-samples-above-rank": (["erasure", "--code", "pan5", "--rho-min", "8", "--rho-max", "8", "--sample", "0", "--out", "e.csv"], {}),
 }
 
 

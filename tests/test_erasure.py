@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qpcodes import erasure
+from qpcodes import cli, erasure, spectrum
 from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, panchenko, seed, shorten
 from qpcodes.erasure import (
     ErasureReport,
@@ -370,6 +370,40 @@ def test_report_takes_every_spectrum_from_one_provider(monkeypatch):
     monkeypatch.setattr(erasure, "oracle_spectrum", lambda c: calls.append(c) or oracle_spectrum(c))
     assert erasure_report(panchenko(6), 5).s_rho_exact == s_rho_exact(panchenko(6), 5)
     assert [c.spec.n for c in calls] == [20]  # the full-length spectrum, once
+
+
+def _walked_lengths(monkeypatch):
+    """Lengths of every row-space walk from here on: oracle_spectrum and
+    shorten both reach spectrum_of_matrix through the spectrum module."""
+    walks = []
+    original = spectrum.spectrum_of_matrix
+    monkeypatch.setattr(spectrum, "spectrum_of_matrix", lambda h: walks.append(h.cols) or original(h))
+    return walks
+
+
+def test_cli_walks_each_length_of_a_code_once(monkeypatch, tmp_path):
+    walks = _walked_lengths(monkeypatch)
+    argv = ["erasure", "--code", "pan7", "--rho-min", "4", "--rho-max", "8", "--psi", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    assert walks == [40]  # one provider for the four rho <= rank(H)
+    walks.clear()
+    argv = ["table", "--which", "1", "--codes", "pan7", "--rhos", "4,5,6,7", "--exact-limit", "0",
+            "--samples", "100", "--out", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == 0
+    assert walks == [40]
+    walks.clear()
+    argv = ["erasure", "--code", "eh8", "--rho-min", "8", "--rho-max", "8", "--psi", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    assert walks == [128, 124]  # the shortened length is walked once, distance check included
+
+
+def test_shortening_never_lowers_a_stated_distance():
+    pan6 = panchenko(6)
+    overstated = Code(CodeSpec(pan6.spec.n, pan6.spec.r, 6), pan6.H)
+    with pytest.raises(ConsistencyError, match="distance decreased"):
+        shorten(overstated, [0])
+    with pytest.raises(ConsistencyError, match="distance decreased"):
+        trailing_shortening_provider(overstated)(pan6.spec.n - 1)
 
 
 def test_report_below_distance():

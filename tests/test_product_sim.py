@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpcodes import cli, product_sim
 from qpcodes.construct import Code, CodeSpec
@@ -16,6 +18,7 @@ from qpcodes.product_sim import (
     ProductCode,
     SimConfig,
     _binomial_weights,
+    _classify_batch,
     _erasure_table,
     _fill_lines,
     _syndromes,
@@ -354,13 +357,90 @@ def test_failures_monotone_in_d_plus():
 
 
 def test_binomial_weights_are_exact():
-    kept, tail = _binomial_weights(5184, 1e-2, 1e-12, None)
-    assert sum(kept.values()) + tail == Fraction(1)
-    assert all(w >= Fraction(1, 10**12) for w in kept.values())
-    assert 0 < tail < Fraction(1, 10**6)
-    capped, cap_tail = _binomial_weights(5184, 1e-2, 1e-12, 20)
+    bits, b, c = 5184, 99, 100  # p = 1/100
+    # P(K=k) * c^bits = C(bits,k) b^(bits-k), from Pascal's row and powers of b
+    powers = [1]
+    for _ in range(bits):
+        powers.append(powers[-1] * b)
+    numerators = []
+    comb = 1
+    for k in range(bits + 1):
+        numerators.append(comb * powers[bits - k])
+        comb = comb * (bits - k) // (k + 1)
+    eps = Fraction(1e-12)
+
+    kept, denom = _binomial_weights(bits, 1e-2, 1e-12, None)
+    assert denom == c**bits
+    assert all(u == numerators[k] for k, u in kept.items())
+    tail = sum(u for k, u in enumerate(numerators) if k not in kept)
+    assert sum(kept.values()) + tail == denom
+    assert all(u * 10**12 >= denom for u in kept.values())
+    # the walk stops early: every stratum it dropped is below the cut
+    assert all(u * eps.denominator < eps.numerator * denom for k, u in enumerate(numerators) if k not in kept)
+    assert 0 < tail * 10**6 < denom
+    capped, cap_denom = _binomial_weights(bits, 1e-2, 1e-12, 20)
+    assert cap_denom == denom
     assert max(capped) <= 20
-    assert cap_tail > tail
+    assert cap_denom - sum(capped.values()) > tail
+
+
+def test_binomial_weights_at_the_edges():
+    assert _binomial_weights(5184, 0.0, 1e-12, None) == ({0: 1}, 1)
+    assert _binomial_weights(5184, 1.0, 1e-12, None) == ({5184: 1}, 1)
+    assert _binomial_weights(5184, 1.0, 1e-12, 20) == ({}, 1)
+
+
+def _random_quad(cols, rng):
+    """Four positions whose parity-check columns cancel: a weight-4 codeword."""
+    while True:
+        three = rng.choice(len(cols), size=3, replace=False).tolist()
+        fourth = cols[three[0]] ^ cols[three[1]] ^ cols[three[2]]
+        if fourth in cols and cols.index(fourth) not in three:
+            return three + [cols.index(fourth)]
+
+
+# fixed examples, no example database: the suite reads the same on every run
+PROPERTY = settings(max_examples=50, deadline=None, database=None, derandomize=True)
+# the same component with its columns reversed as the column code, so that
+# a classifier mixing up the row and column codes shows
+SKEW = ProductCode(PC.row_code, Code(PC.col_code.spec, PC.col_code.H.select_columns(range(71, -1, -1))))
+
+
+def test_batch_classifier_matches_per_trial_decode():
+    seen = set()
+
+    @PROPERTY
+    @given(
+        pc=st.sampled_from([PC, SKEW]),
+        seed=st.integers(0, 2**32 - 1),
+        d_plus=st.integers(3, 9),
+        p=st.sampled_from([0.0, 2e-4, 1e-3, 3e-3, 1e-2]),
+        plants=st.lists(st.sampled_from(["row", "column", "grid", "diagonal"]), max_size=3),
+    )
+    def check(pc, seed, d_plus, p, plants):
+        rng = np.random.default_rng(seed)
+        errors = (rng.random((32, 72, 72)) < p).astype(np.uint8)
+        for t in range(errors.shape[0]):
+            for kind in plants:
+                if rng.random() < 0.5:
+                    continue
+                # a silent row holds a row-code word, a silent column a
+                # column-code word, and a grid is a product-code word; a
+                # diagonal flags four dependent rows and four dependent columns
+                rows = _random_quad(pc.col_cols, rng) if kind != "row" else [int(rng.integers(72))]
+                cols = _random_quad(pc.row_cols, rng) if kind != "column" else [int(rng.integers(72))]
+                if kind == "diagonal":
+                    errors[t][rows, cols] ^= 1
+                else:
+                    errors[t][np.ix_(rows, cols)] ^= 1
+        codes = _classify_batch(pc, errors, d_plus)
+        names = {"success": 0, "detected_failure": 1, "miscorrection": 2}
+        expect = [names[decode(pc, e, d_plus, ZERO).outcome] for e in errors]
+        assert codes.tolist() == expect
+        seen.update(expect)
+
+    check()
+    assert seen == {0, 1, 2}
 
 
 def test_stratified_matches_plain():
