@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from . import __version__
+from . import __version__, spectrum
 from .construct import (
     Code,
     CodeSpec,
@@ -45,7 +45,7 @@ from .product_sim import (
     default_product_code,
     failure_probability,
 )
-from .spectrum import oracle_spectrum, spectrum_by_doubling, spectrum_of_matrix
+from .spectrum import WeightSpectrum, oracle_spectrum, spectrum_by_doubling
 
 # every spelling of the two named families, to the label Table 1 uses
 _FAMILIES = {"eh": "hamming", "hamming": "hamming", "pan": "panchenko", "panchenko": "panchenko"}
@@ -107,22 +107,25 @@ def _build(family: str, r: int) -> Code:
     return extended_hamming(r) if family == "hamming" else panchenko(r)
 
 
-def _resolve_code(token: str) -> tuple[Code, list[Path]]:
+def _resolve_code(token: str) -> tuple[Code, list[Path], WeightSpectrum | None]:
     """A code named like eh7/panchenko8, or a matrix file with optional
-    <file>.json sidecar carrying its metadata."""
+    <file>.json sidecar carrying its metadata; then the files read, and the
+    spectrum of a matrix file, walked once for its distance (None for a
+    named code)."""
     name = _parse_name(token)
     if name:
-        return _build(*name), []
+        return _build(*name), [], None
     path = Path(token)
     if not path.is_file():
         raise PreconditionError(
             f"{token!r} is neither a named code (eh7, panchenko8, ...) nor a file"
         )
     h = BitMatrix.from_text(path.read_text())
-    d = spectrum_of_matrix(h).min_nonzero()
+    walked = spectrum.spectrum_of_matrix(h)
+    d = walked.min_nonzero()
     sidecar = Path(str(path) + ".json")
     if not sidecar.is_file():
-        return Code(CodeSpec(h.cols, h.nrows, d, Lineage()), h), [path]
+        return Code(CodeSpec(h.cols, h.nrows, d, Lineage()), h), [path], walked
     try:
         spec = CodeSpec.from_json(json.loads(sidecar.read_text()))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -133,7 +136,7 @@ def _resolve_code(token: str) -> tuple[Code, list[Path]]:
         raise ConsistencyError(
             f"{sidecar} says d={code.spec.d}, but the matrix has minimum distance {d}"
         )
-    return code, [path, sidecar]
+    return code, [path, sidecar], walked
 
 
 def _fmt(value, digits: int) -> str:
@@ -192,14 +195,14 @@ def _cmd_construct(args: argparse.Namespace) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> None:
-    code, inputs = _resolve_code(args.code)
+    code, inputs, walked = _resolve_code(args.code)
     if args.method == "oracle":
-        ws = oracle_spectrum(code)
+        ws = walked if walked is not None else oracle_spectrum(code)
     elif args.method == "recursion":
         ws = spectrum_by_doubling(code)
     else:  # both: never emit anything on mismatch
         by_recursion = spectrum_by_doubling(code)
-        by_oracle = oracle_spectrum(code)
+        by_oracle = walked if walked is not None else oracle_spectrum(code)
         if by_recursion != by_oracle:
             raise ConsistencyError(
                 "recursion and oracle spectra disagree; refusing to write output"
@@ -233,7 +236,7 @@ _ERASURE_COLUMNS = [
 def _cmd_erasure(args: argparse.Namespace) -> None:
     if args.digits < 0:
         raise PreconditionError("--digits must be >= 0")
-    code, inputs = _resolve_code(args.code)
+    code, inputs, walked = _resolve_code(args.code)
     if args.rho_min > args.rho_max:
         raise PreconditionError("--rho-min exceeds --rho-max")
     if args.sample is not None:
@@ -247,7 +250,9 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
     else:
         method = "auto"
 
-    provider = trailing_shortening_provider(code)
+    shortened = trailing_shortening_provider(code)
+    # a matrix file's full length was walked already, for its distance
+    provider = shortened if walked is None else (lambda m: walked if m == code.spec.n else shortened(m))
     reports = [
         erasure_report(
             code,

@@ -7,15 +7,20 @@ decoding. Three roads to it live here:
 
 * psi: a closed-form lower bound subtracting codeword-anchored dependent
   sets, exact whenever 2*rho <= 3*d - 1;
-* s_rho_exact / s_rho_sampled: the true count by pruned enumeration, or an
-  unbiased subset-sampling estimate when C(n,rho) is out of budget;
+* s_rho_exact / s_rho_sampled: the true count, or an unbiased
+  subset-sampling estimate when C(n,rho) is out of budget. The count has
+  two exact routes that return the same integer: Moebius inversion on the
+  subspace lattice of GF(2)^rank(H), fed by the number of columns inside
+  each subspace of dimension <= rho, and the pruned enumeration of
+  rho-subsets. The lattice runs when those subspaces number no more than
+  the C(n,rho) subsets, the enumeration otherwise;
 * psi_tilde and friends: the recursive refinement of psi driven by spectra
   of shortened codes, plus the closed-form entropy floors.
 
-The enumeration and sampling kernels share one elimination, the batched
-kernel in gf2: H's columns are written in the coordinates of a row basis
-of H, one word per column in the narrowest unsigned dtype that holds
-rank(H) <= 64 bits, and a whole array of partial subsets is reduced with
+Every count reads H's columns in the coordinates of a row basis of H, one
+word per column in the narrowest unsigned dtype that holds rank(H) <= 64
+bits. The enumeration and sampling kernels share one elimination, the
+batched kernel in gf2, which reduces a whole array of partial subsets with
 numpy array ops, one basis per array entry.
 """
 
@@ -25,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -65,6 +71,8 @@ _SAMPLE_CHUNK = 1 << 20
 # subsets per kernel call: keeps the kernel's scratch arrays small next to
 # the chunk's draw, which peak memory already has to hold
 _HIT_BATCH = 1 << 16
+# subspaces per lattice slice: keeps each slice's span table small
+_LATTICE_SLICE = 1 << 12
 
 
 def psi(n: int, d: int, rho: int, s: WeightSpectrum) -> int:
@@ -254,6 +262,88 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
     raise AssertionError("unreachable")
 
 
+def _gaussian_binomial(m: int, k: int) -> int:
+    """[m choose k]_2: the number of k-dimensional subspaces of GF(2)^m
+    (0 when k > m)."""
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (m - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    return num // den
+
+
+def _lattice_term(cnt: np.ndarray, rank: int, rho: int, pivots: tuple[int, ...]) -> int:
+    """The share of S_rho from the subspaces U whose reduced echelon basis
+    has these pivots: the Moebius-weighted sum of C(x_U, rho), where
+    x_U = the sum of cnt over U counts the columns lying in U.
+
+    Basis vector i has lowest bit pivots[i] and a free bit at each higher
+    non-pivot position; the F free bits of all vectors count through
+    0..2^F-1, one subspace each, in slices of _LATTICE_SLICE.
+    """
+    j = len(pivots)
+    word = np.min_scalar_type((1 << rank) - 1)
+    free = [(i, q) for i, p in enumerate(pivots) for q in range(p + 1, rank) if q not in pivots]
+    lead = np.array([1 << p for p in pivots], dtype=np.int64)[:, None]
+    subspaces = 1 << len(free)
+    acc = 0
+    for lo in range(0, subspaces, _LATTICE_SLICE):
+        t = np.arange(lo, min(lo + _LATTICE_SLICE, subspaces), dtype=np.int64)
+        basis = np.repeat(lead, t.size, axis=1)
+        for k, (i, q) in enumerate(free):
+            basis[i] |= ((t >> k) & 1) << q
+        span = np.zeros((1, t.size), dtype=word)
+        for b in basis.astype(word):
+            span = np.concatenate([span, span ^ b])
+        x = cnt[span].sum(axis=0, dtype=np.intp)
+        acc += sum(math.comb(v, rho) * c for v, c in enumerate(np.bincount(x).tolist()) if c)
+    # mu(U, V) = (-1)^k 2^C(k,2) with k = dim V - dim U, the same for each
+    # of the [rank-j choose rho-j]_2 spaces V of dimension rho above U
+    return (-1) ** (rho - j) * 2 ** math.comb(rho - j, 2) * _gaussian_binomial(rank - j, rho - j) * acc
+
+
+def _summed(
+    counter: Callable, parts, threads: int | None, progress: Callable[[int, int], None] | None
+) -> int:
+    """Sum of counter over parts on thread_map's workers; progress(done,
+    total) fires once per part. An integer sum, so any thread count gives
+    the same total."""
+    out = 0
+    with thread_map(counter, parts, threads) as counts:
+        for done, count in enumerate(counts, 1):
+            out += count
+            if progress is not None:
+                progress(done, len(parts))
+    return out
+
+
+def _count_by_enumeration(
+    h: BitMatrix, rho: int, threads: int | None, progress: Callable[[int, int], None] | None
+) -> int:
+    """S_rho for 1 <= rho by the pruned prefix-tree walk, one part per first column."""
+    counter = partial(_count_independent_below, _column_words(h), h.cols, rho)
+    return _summed(counter, range(h.cols - rho + 1), threads, progress)
+
+
+def _count_on_lattice(
+    h: BitMatrix, rho: int, threads: int | None, progress: Callable[[int, int], None] | None
+) -> int:
+    """S_rho by Moebius inversion on the subspaces of GF(2)^rank(H), one part
+    per echelon pivot set of dimension <= rho.
+
+    A rho-set is independent iff it spans a rho-dimensional space, and
+    C(x_U, rho) counts the rho-sets inside U, so with mu the Moebius
+    function of the lattice, S_rho = sum over dim U <= rho of
+    C(x_U, rho) * sum over dim V = rho, V >= U of mu(U, V). Zero and
+    repeated columns count through cnt, the number of columns per word.
+    """
+    cols = _column_words(h)
+    rank = h.rank()
+    cnt = np.bincount(cols.astype(np.intp), minlength=1 << rank).astype(np.min_scalar_type(h.cols))
+    pivot_sets = [p for j in range(rho + 1) for p in combinations(range(rank), j)]
+    return _summed(partial(_lattice_term, cnt, rank, rho), pivot_sets, threads, progress)
+
+
 def s_rho_exact(
     code: Code,
     rho: int,
@@ -264,10 +354,13 @@ def s_rho_exact(
 ) -> int:
     """Exact number of correctable weight-rho erasure patterns.
 
-    Counts rho-subsets of H's columns with rank rho by walking the
-    lexicographic prefix tree, pruning every dependent prefix. Work is
-    split over the first column index; the count is a plain integer sum,
-    so the result is identical for any thread count.
+    Two exact routes give the same integer, and the one with less to visit
+    runs: Moebius inversion on the subspace lattice when GF(2)^rank(H) has
+    no more subspaces of dimension <= rho than there are rho-subsets of
+    columns, else the pruned enumeration of rho-subsets. Each route splits
+    its work into parts (echelon pivot sets, or the first column index)
+    whose counts are summed as integers, so the result is identical for
+    any thread count; progress(done, total) fires once per part.
     """
     h = code.H
     n = h.cols
@@ -280,17 +373,14 @@ def s_rho_exact(
         raise BudgetError(
             f"exact count would examine C({n},{rho}) = {total} subsets, over budget {budget}"
         )
-    if rho > h.rank():
+    rank = h.rank()
+    if rho > rank:
         return 0  # a subset's rank is capped by rank(H)
-    counter = partial(_count_independent_below, _column_words(h), n, rho)
-    roots = range(n - rho + 1)
-    out = 0
-    with thread_map(counter, roots, threads) as parts:
-        for done, part in enumerate(parts, 1):
-            out += part
-            if progress is not None:
-                progress(done, len(roots))
-    return out
+    # the lattice also needs a table of 2^rank column counts; the rule keeps
+    # 2^rank below C(n, rho), as the j = 0 and 1 terms alone sum to 2^rank
+    lattice = sum(_gaussian_binomial(rank, j) for j in range(rho + 1)) <= total
+    route = _count_on_lattice if lattice else _count_by_enumeration
+    return route(h, rho, threads, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +426,9 @@ def _sample_chunk(cols: np.ndarray, n: int, rho: int, master_seed: int, job: tup
     while got < size:
         draw = rng.integers(0, n, size=(size - got, rho), dtype=np.int64)
         draw.sort(axis=1)
+        # the int64 draw is part of the stream plan; narrow indices only
+        # after it, so the de-duplicated copy and the kernel's gathers are small
+        draw = draw.astype(np.min_scalar_type(n - 1))
         if rho > 1:
             draw = draw[np.all(draw[:, 1:] != draw[:, :-1], axis=1)]
         got += draw.shape[0]

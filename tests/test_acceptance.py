@@ -197,6 +197,24 @@ def test_criterion_05_reference_grid_extended_regime():
     check(5, not problems, detail if not problems else "; ".join(problems))
 
 
+def test_sampled_grid_cells_are_exact_on_the_lattice():
+    """The four r=8 cells criterion 5 samples, counted exactly, and within the
+    1e-4 slack of their printed values. eh8 rho=7 has C(128,7) = 8.4e10
+    subsets, over the default budget, so the budget is raised to C(n, rho);
+    the lattice route visits 417,198 subspaces at rank 8."""
+    expect = {
+        ("pan", "panchenko", 6): 265_359_360,
+        ("pan", "panchenko", 7): 2_222_653_440,
+        ("eh", "hamming", 6): 4_741_029_888,
+        ("eh", "hamming", 7): 65_019_838_464,
+    }
+    for (chain, label, rho), count in expect.items():
+        code = chain_code(chain, 8)
+        total = math.comb(code.spec.n, rho)
+        assert s_rho_exact(code, rho, budget=total) == count
+        assert abs(count / total - float(TABLE1_REFERENCE[(label, 8)][rho])) <= 1e-4
+
+
 def test_criterion_06_closed_form_is_exact_in_regime():
     bad: list[str] = []
     pairs = 0

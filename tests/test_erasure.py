@@ -188,6 +188,61 @@ def test_exact_count_permutation_invariance():
         assert s_rho_exact(permuted, rho) == s_rho_exact(pan5, rho)
 
 
+def _routes_taken(monkeypatch) -> list[str]:
+    """Names of the exact routes s_rho_exact runs from here on."""
+    taken = []
+    for name in ("_count_on_lattice", "_count_by_enumeration"):
+        route = getattr(erasure, name)
+        monkeypatch.setattr(erasure, name, lambda *a, _n=name, _r=route: taken.append(_n) or _r(*a))
+    return taken
+
+
+def _pan9_short88() -> Code:
+    pan9 = panchenko(9)
+    return shorten(pan9, list(range(pan9.spec.n - 88, pan9.spec.n)))
+
+
+# (code, rho, subspaces of dimension <= rho in GF(2)^rank, S_rho, route): the
+# lattice runs iff the subspaces number no more than the C(n, rho) subsets
+ROUTE_CELLS = {
+    "eh7-rho6": (lambda: extended_hamming(7), 6, 29_211, 55_996_416, "_count_on_lattice"),
+    "pan8-rho5": (lambda: panchenko(8), 5, 406_148, 23_191_680, "_count_on_lattice"),
+    # rank 8 below its 9 rows
+    "pan9-short88-rho4": (_pan9_short88, 4, 308_993, 1_022_133, "_count_on_lattice"),
+    "pan5-rho4": (lambda: pan5, 4, 373, 200, "_count_by_enumeration"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(ROUTE_CELLS))
+def test_exact_route_rule(monkeypatch, cell):
+    build, rho, subspaces, count, route = ROUTE_CELLS[cell]
+    code = build()
+    rank = code.H.rank()
+    assert sum(erasure._gaussian_binomial(rank, j) for j in range(rho + 1)) == subspaces
+    assert (subspaces <= math.comb(code.spec.n, rho)) == (route == "_count_on_lattice")
+    taken = _routes_taken(monkeypatch)
+    assert s_rho_exact(code, rho) == count
+    assert taken == [route]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_lattice_progress_fires_once_per_pivot_set(threads, monkeypatch):
+    taken = _routes_taken(monkeypatch)
+    calls = []
+    eh5 = extended_hamming(5)
+    count = s_rho_exact(eh5, 4, threads=threads, progress=lambda done, total: calls.append((done, total)))
+    assert taken == ["_count_on_lattice"]
+    assert count == brute_s_rho(eh5.H, 4)
+    pivot_sets = sum(math.comb(5, j) for j in range(5))  # rank 5, dimensions 0..4
+    assert calls == [(done, pivot_sets) for done in range(1, pivot_sets + 1)]
+
+
+@pytest.mark.parametrize("code", [pan5, extended_hamming(5)], ids=["enumeration", "lattice"])
+def test_exact_count_refuses_zero_threads_on_both_routes(code):
+    with pytest.raises(PreconditionError):
+        s_rho_exact(code, 4, threads=0)
+
+
 def test_exact_count_budget_refusal():
     with pytest.raises(BudgetError) as err:
         s_rho_exact(extended_hamming(7), 7, budget=10**6)
@@ -214,6 +269,13 @@ def test_sampling_chunking_does_not_change_the_plan():
     # draw inside the first chunk and one reaching into the second
     assert s_rho_sampled(pan5, 4, 5000, master_seed=9).hits == 4746
     assert s_rho_sampled(pan5, 4, (1 << 20) + 1000, master_seed=9).hits == 999650
+
+
+def test_sampled_hits_are_pinned():
+    # the index dtype narrows (uint8 at n = 80, uint16 at n = 512) only after
+    # the int64 draw, so these totals of int64 indices must not move
+    assert s_rho_sampled(panchenko(8), 7, 300_000, master_seed=5).hits == 210_103
+    assert s_rho_sampled(extended_hamming(10), 6, 100_000, master_seed=8).hits == 96_851
 
 
 def test_sampling_validation():
@@ -373,11 +435,17 @@ def test_report_takes_every_spectrum_from_one_provider(monkeypatch):
 
 
 def _walked_lengths(monkeypatch):
-    """Lengths of every row-space walk from here on: oracle_spectrum and
-    shorten both reach spectrum_of_matrix through the spectrum module."""
+    """Lengths of every row-space walk from here on, counted through the
+    spectrum module and through any binding of its own the cli holds."""
     walks = []
     original = spectrum.spectrum_of_matrix
-    monkeypatch.setattr(spectrum, "spectrum_of_matrix", lambda h: walks.append(h.cols) or original(h))
+
+    def counted(h):
+        walks.append(h.cols)
+        return original(h)
+
+    monkeypatch.setattr(spectrum, "spectrum_of_matrix", counted)
+    monkeypatch.setattr(cli, "spectrum_of_matrix", counted, raising=False)
     return walks
 
 
@@ -395,6 +463,19 @@ def test_cli_walks_each_length_of_a_code_once(monkeypatch, tmp_path):
     argv = ["erasure", "--code", "eh8", "--rho-min", "8", "--rho-max", "8", "--psi", "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 0
     assert walks == [128, 124]  # the shortened length is walked once, distance check included
+
+
+def test_cli_walks_a_matrix_file_once(monkeypatch, tmp_path):
+    matrix = str(tmp_path / "pan7.txt")
+    assert cli.main(["construct", "--family", "panchenko", "--r", "7", "--out", matrix]) == 0
+    walks = _walked_lengths(monkeypatch)
+    argv = ["erasure", "--code", matrix, "--rho-min", "4", "--rho-max", "7", "--psi", "--out", str(tmp_path / "e.csv")]
+    assert cli.main(argv) == 0
+    assert walks == [40]  # the distance check's walk serves the report too
+    walks.clear()
+    argv = ["spectrum", "--code", matrix, "--method", "oracle", "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 0
+    assert walks == [40]
 
 
 def test_shortening_never_lowers_a_stated_distance():

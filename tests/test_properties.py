@@ -1,14 +1,17 @@
 """Property tests on small shortened codes: the exact count and the psi
 floor depend on the set of H's columns, not their order, and
-psi <= S_rho <= C(n, rho), with equality on the left in the exact regime."""
+psi <= S_rho <= C(n, rho), with equality on the left in the exact regime.
+The two exact routes, lattice and enumeration, agree on every matrix."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpcodes import erasure
 from qpcodes.construct import Code, CodeSpec, extended_hamming, panchenko, shorten
 from qpcodes.erasure import is_exact_regime, psi, s_rho_exact
+from qpcodes.gf2 import BitMatrix
 from qpcodes.spectrum import oracle_spectrum
 
 BASES = [panchenko(5), extended_hamming(5), panchenko(6), extended_hamming(6)]
@@ -45,3 +48,39 @@ def test_psi_below_exact_below_total(code, rho):
     assert floor <= exact <= math.comb(n, rho)
     if is_exact_regime(d, rho):
         assert floor == exact
+
+
+@st.composite
+def lattice_matrices(draw):
+    """H of a random shortening of a small family code (pan7 cut to at most
+    24 columns, so enumeration stays cheap), or a random matrix whose columns
+    are sums of a few random vectors: zero columns, repeated columns and
+    rank below the row count all occur."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(BASES + [panchenko(7)]))
+        n = base.spec.n
+        drop = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=max(0, n - 24), max_size=n - 1))
+        return shorten(base, drop).H
+    nrows = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.integers(0, (1 << nrows) - 1), min_size=1, max_size=nrows))
+    masks = draw(st.lists(st.integers(0, (1 << len(gens)) - 1), min_size=1, max_size=14))
+    cols = []
+    for mask in masks:
+        x = 0
+        for i, g in enumerate(gens):
+            if mask >> i & 1:
+                x ^= g
+        cols.append(x)
+    rows = tuple(sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(nrows))
+    return BitMatrix(rows, len(cols))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data())
+def test_lattice_count_equals_enumeration(data):
+    h = data.draw(lattice_matrices())
+    rank = h.rank()
+    rho = data.draw(st.integers(0, rank + 1))
+    lattice = erasure._count_on_lattice(h, rho, 1, None)
+    # the enumerator counts from rho = 1 on; the empty set is independent
+    assert lattice == (erasure._count_by_enumeration(h, rho, 1, None) if rho else 1)
