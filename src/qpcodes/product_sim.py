@@ -11,10 +11,12 @@ array; visible only against the transmitted ground truth).
 
 Decoding is translation invariant, so the Monte Carlo drivers simulate the
 zero array and classify outcomes from the error pattern alone; the unit
-tests check the invariance against encoded random payloads. Each chunk of
-trials is classified in one batch pass over its row and column syndromes,
-and decode runs only for the routed trials with a silent line, the only
-ones that can end in a miscorrection.
+tests check the invariance against encoded random payloads. A chunk of
+trials is kept as the (trial, position) pairs of its errors, and is
+classified in one batch pass over the row and column syndromes those
+positions make. Only the routed trials with a silent line, the only ones
+that can end in a miscorrection, are laid out as arrays and run through
+decode.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
 from .gf2 import gf2_basis, independent_words
-from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, thread_map
+from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_streams, thread_map
+from .rng import derive_stream  # noqa: F401  (bench/tracing.py patches this name here)
 
 __all__ = [
     "DecodeOutcome",
@@ -279,45 +282,71 @@ def _erasable(flags: np.ndarray, words: list[int], cap: int) -> np.ndarray:
     return ok
 
 
-def _classify_batch(pc: ProductCode, errors: np.ndarray, d_plus: int) -> np.ndarray:
-    """Outcome codes for a batch of error arrays laid over the zero array.
+def _line_states(
+    trial: np.ndarray, line: np.ndarray, words: np.ndarray, size: int, lines: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(flagged, hit), each (size, lines): error i lies on line line[i] of
+    trial trial[i], where its parity-check column is words[i]. A line's
+    syndrome is the XOR of its errors' words; it is flagged when that is
+    nonzero and hit when it holds an error at all."""
+    index = trial * lines + line
+    syn = np.zeros(size * lines, dtype=words.dtype)
+    np.bitwise_xor.at(syn, index, words)
+    hit = np.bincount(index, minlength=size * lines) > 0
+    return (syn != 0).reshape(size, lines), hit.reshape(size, lines)
 
-    Every trial is classified in one batch pass from the syndromes of its
-    rows and columns. A line is flagged when its syndrome is nonzero and
-    silent when it holds errors under a zero syndrome. As in decode, the
-    column route applies when at most min(d_plus, rows of H_row) columns
-    are flagged and they are independent in H_row; failing that, the row
-    route is tried the same way with rows and H_col, and a trial with
-    neither route is a detected failure. When no line on its route is
+
+def _classify_batch(
+    pc: ProductCode, size: int, trial: np.ndarray, pos: np.ndarray, d_plus: int
+) -> np.ndarray:
+    """Outcome codes for size trials of errors laid over the zero array.
+
+    The errors are given by their positions: error i sits in trial[i] at
+    flat position pos[i] (row * n_row + column) of that trial's array, and
+    no pair repeats. Every trial is classified in one batch pass from the
+    syndromes of its rows and columns, each the XOR of the parity-check
+    columns its errors hit. A line is flagged when its syndrome is nonzero
+    and silent when it holds errors under a zero syndrome. As in decode,
+    the column route applies when at most min(d_plus, rows of H_row)
+    columns are flagged and they are independent in H_row; failing that,
+    the row route is tried the same way with rows and H_col, and a trial
+    with neither route is a detected failure. When no line on its route is
     silent, every error of a routed trial lies in the erased lines, whose
     refill is unique: a success. Only routed trials with a silent line,
-    the one way to a miscorrection, run the full per-trial decode.
+    the one way to a miscorrection, are laid out as arrays and run the
+    full per-trial decode.
     """
-    row_flag = _syndromes(errors, pc.h_row) != 0
-    col_flag = _syndromes(errors.transpose(0, 2, 1), pc.h_col) != 0
+    # a component H has at most _MAX_ROWS = 16 rows, so syndromes fit uint16
+    row_words = np.asarray(pc.row_cols, dtype=np.uint16)
+    col_words = np.asarray(pc.col_cols, dtype=np.uint16)
+    row, col = np.divmod(pos, pc.n_row)
+    row_flag, row_hit = _line_states(trial, row, row_words[col], size, pc.n_col)
+    col_flag, col_hit = _line_states(trial, col, col_words[row], size, pc.n_row)
     by_cols = _erasable(col_flag, pc.row_cols, min(d_plus, pc.h_row.shape[0]))
     routed = by_cols | _erasable(row_flag, pc.col_cols, min(d_plus, pc.h_col.shape[0]))
     silent = np.where(
-        by_cols,
-        (errors.any(axis=1) & ~col_flag).any(axis=1),
-        (errors.any(axis=2) & ~row_flag).any(axis=1),
+        by_cols, (col_hit & ~col_flag).any(axis=1), (row_hit & ~row_flag).any(axis=1)
     )
-    out = np.full(errors.shape[0], _DETECTED, dtype=np.int8)
+    out = np.full(size, _DETECTED, dtype=np.int8)
     out[routed & ~silent] = _SUCCESS
     zero = np.zeros((pc.n_col, pc.n_row), dtype=np.uint8)
     for t in np.flatnonzero(routed & silent):
-        res = decode(pc, errors[t], d_plus, transmitted=zero)
+        errors = np.zeros(pc.bits, dtype=np.uint8)
+        errors[pos[trial == t]] = 1
+        res = decode(pc, errors.reshape(pc.n_col, pc.n_row), d_plus, transmitted=zero)
         out[t] = {"success": _SUCCESS, "detected_failure": _DETECTED, "miscorrection": _MISCORRECTION}[res.outcome]
     return out
 
 
 def _plain_chunk(pc: ProductCode, cfg: SimConfig, chunk: tuple[int, int]) -> np.ndarray:
     start, size = chunk
-    errors = np.empty((size, pc.n_col, pc.n_row), dtype=np.uint8)
-    for t in range(size):
-        rng = derive_stream(cfg.master_seed, DOMAIN_SIM_TRIALS, start + t)
-        errors[t] = rng.random(size=(pc.n_col, pc.n_row)) < cfg.p
-    return _classify_batch(pc, errors, cfg.d_plus)
+    streams = derive_streams(cfg.master_seed, DOMAIN_SIM_TRIALS, range(start, start + size))
+    # a trial flips the bits whose uniform, drawn row by row as in channel,
+    # falls below p; positions are kept in the narrowest dtype that holds them
+    narrow = np.min_scalar_type(pc.bits - 1)
+    hits = [np.flatnonzero(rng.random(pc.bits) < cfg.p).astype(narrow) for rng in streams]
+    trial = np.repeat(np.arange(size), [len(h) for h in hits])
+    return _classify_batch(pc, size, trial, np.concatenate(hits), cfg.d_plus)
 
 
 @dataclass(frozen=True, repr=False)
@@ -444,13 +473,13 @@ def _binomial_weights(bits: int, p: float, eps_tail: float, k_max: int | None) -
 def _stratum_outcomes(
     pc: ProductCode, cfg: SimConfig, per_stratum: int, k: int
 ) -> np.ndarray:
-    errors = np.zeros((per_stratum, pc.n_col, pc.n_row), dtype=np.uint8)
+    pos = np.empty((per_stratum, k), dtype=np.int64)
     if k > 0:
-        flat = errors.reshape(per_stratum, pc.bits)
-        for t in range(per_stratum):
-            rng = derive_stream(cfg.master_seed, DOMAIN_SIM_STRATA, (k << 32) | t)
-            flat[t, rng.choice(pc.bits, size=k, replace=False)] = 1
-    return _classify_batch(pc, errors, cfg.d_plus)
+        indices = ((k << 32) | t for t in range(per_stratum))
+        for t, rng in enumerate(derive_streams(cfg.master_seed, DOMAIN_SIM_STRATA, indices)):
+            pos[t] = rng.choice(pc.bits, size=k, replace=False)
+    trial = np.repeat(np.arange(per_stratum), k)
+    return _classify_batch(pc, per_stratum, trial, pos.ravel(), cfg.d_plus)
 
 
 def _stratified_failure(

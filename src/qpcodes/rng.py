@@ -1,9 +1,13 @@
 """Counter-based random streams, reproducible regardless of thread count.
 
-Every Monte Carlo consumer derives one Philox generator per work chunk from
-(master_seed, domain, chunk index). Chunk boundaries are fixed up front, so
-the random numbers a chunk sees depend only on the seed and the chunk's
-index, never on scheduling. thread_map is the one place chunks meet
+Every Monte Carlo consumer draws from Philox streams keyed by (master_seed,
+domain, index): the erasure sampler one per work chunk, the product-code
+simulator one per trial. The key alone fixes a stream, so the random
+numbers an index sees depend only on the seed and the index, never on
+scheduling or on how indices are grouped into chunks. derive_streams
+serves a run of indices from one Philox whose state it resets to a fresh
+one under each index's key, which yields the same draws as derive_stream
+without building a generator each time. thread_map is the one place chunks meet
 threads.
 """
 
@@ -25,16 +29,42 @@ DOMAIN_SIM_STRATA = 3
 _MAX_INDEX = 1 << 56
 
 
-def derive_stream(master_seed: int, domain: int, index: int) -> np.random.Generator:
-    """Independent generator for one (domain, chunk) pair under a master seed."""
+def _key(master_seed: int, domain: int, index: int) -> tuple[int, int]:
+    """The two 64-bit words of the Philox key of one (domain, index) pair."""
     if not 0 <= master_seed < 1 << 64:
         raise PreconditionError("master seed must fit in 64 bits")
     if not 0 <= domain < 1 << 8:
         raise PreconditionError("domain tag must fit in 8 bits")
     if not 0 <= index < _MAX_INDEX:
         raise PreconditionError("chunk index must fit in 56 bits")
-    key = (domain << 56) | index
-    return np.random.Generator(np.random.Philox(key=[master_seed, key]))
+    return master_seed, (domain << 56) | index
+
+
+def derive_stream(master_seed: int, domain: int, index: int) -> np.random.Generator:
+    """Independent generator for one (domain, index) pair under a master seed."""
+    # as uint64: numpy reads a list holding a word >= 2^63 as float64,
+    # which rounds the low bits of the key away
+    key = np.array(_key(master_seed, domain, index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def derive_streams(
+    master_seed: int, domain: int, indices: Iterable[int]
+) -> Iterator[np.random.Generator]:
+    """For each index in turn, a generator whose draws equal those of
+    derive_stream(master_seed, domain, index).
+
+    The same generator is yielded every time, re-keyed in place, so each
+    one is valid only until the next is yielded.
+    """
+    bit_gen = np.random.Philox(0)
+    # the state of a new Philox: counter 0, empty buffer, no spare half-word
+    state = bit_gen.state
+    gen = np.random.Generator(bit_gen)
+    for index in indices:
+        state["state"]["key"] = _key(master_seed, domain, index)
+        bit_gen.state = state
+        yield gen
 
 
 def thread_count(explicit: int | None = None) -> int:

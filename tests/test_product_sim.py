@@ -21,6 +21,7 @@ from qpcodes.product_sim import (
     _classify_batch,
     _erasure_table,
     _fill_lines,
+    _stratum_outcomes,
     _syndromes,
     channel,
     decode,
@@ -433,7 +434,8 @@ def test_batch_classifier_matches_per_trial_decode():
                     errors[t][rows, cols] ^= 1
                 else:
                     errors[t][np.ix_(rows, cols)] ^= 1
-        codes = _classify_batch(pc, errors, d_plus)
+        trial, row, col = np.nonzero(errors)
+        codes = _classify_batch(pc, len(errors), trial, row * pc.n_row + col, d_plus)
         names = {"success": 0, "detected_failure": 1, "miscorrection": 2}
         expect = [names[decode(pc, e, d_plus, ZERO).outcome] for e in errors]
         assert codes.tolist() == expect
@@ -441,6 +443,15 @@ def test_batch_classifier_matches_per_trial_decode():
 
     check()
     assert seen == {0, 1, 2}
+
+
+def test_batch_classifier_without_errors():
+    # a chunk with no error at all, and the k=0 stratum: every trial is a
+    # clean success and no array is laid out for decode
+    none = np.zeros(0, dtype=np.int64)
+    assert _classify_batch(PC, 9, none, none, 4).tolist() == [0] * 9
+    cfg = SimConfig(p=1e-3, d_plus=3, trials=1, master_seed=4, strategy="stratified")
+    assert _stratum_outcomes(PC, cfg, 6, 0).tolist() == [0] * 6
 
 
 def test_stratified_matches_plain():

@@ -1,6 +1,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from qpcodes.errors import PreconditionError
@@ -9,6 +10,7 @@ from qpcodes.rng import (
     DOMAIN_SIM_STRATA,
     DOMAIN_SIM_TRIALS,
     derive_stream,
+    derive_streams,
     thread_count,
     thread_map,
 )
@@ -39,6 +41,49 @@ def test_seed_changes_stream():
     a = derive_stream(1, DOMAIN_SIM_TRIALS, 0).random(8)
     b = derive_stream(2, DOMAIN_SIM_TRIALS, 0).random(8)
     assert not (a == b).all()
+
+
+def test_seeds_past_2_63_keep_their_streams_apart():
+    # numpy carries a list holding a word >= 2^63 through float64, which
+    # would put neighbouring seeds and indices on a handful of streams
+    seeds = [2**63 - 1, 2**63, 2**63 + 1, 2**63 + 12345, 2**64 - 2, 2**64 - 1]
+    firsts = [derive_stream(s, DOMAIN_SIM_TRIALS, i).random() for s in seeds for i in range(6)]
+    assert len(set(firsts)) == len(firsts)
+
+
+def _draws(gen) -> list:
+    """Draws through every path the simulator and sampler use. An odd
+    count of uint32 draws leaves a buffered half-word; the last of them
+    does, and the doubles after it stop part-way through the four-word
+    Philox buffer, so the generator is not left in a fresh state."""
+    out = [
+        gen.integers(0, 1000, size=3, dtype=np.uint32),
+        gen.choice(5184, size=8, replace=False),
+        gen.random(3),
+        gen.integers(0, 2**40, size=4, dtype=np.int64),
+        gen.integers(0, 2**32 - 1, size=5, dtype=np.uint32),
+        gen.random(2),
+    ]
+    return [a.tolist() for a in out]
+
+
+@pytest.mark.parametrize("seed", [0, 33, 2**63 - 1, 2**63 + 5, 2**64 - 1])
+def test_rekeyed_streams_equal_fresh_ones(seed):
+    for domain in (DOMAIN_ERASURE_SAMPLING, DOMAIN_SIM_TRIALS, DOMAIN_SIM_STRATA, 255):
+        indices = [0, 1, 2, 7, (5 << 32) | 3, (1 << 56) - 1]
+        for index, gen in zip(indices, derive_streams(seed, domain, indices), strict=True):
+            assert _draws(gen) == _draws(derive_stream(seed, domain, index))
+            state = gen.bit_generator.state
+            assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+
+
+def test_rekeyed_streams_validate_each_index():
+    streams = derive_streams(1, DOMAIN_SIM_TRIALS, [0, 1 << 56])
+    next(streams)
+    with pytest.raises(PreconditionError):
+        next(streams)
+    with pytest.raises(PreconditionError):
+        next(derive_streams(1 << 64, DOMAIN_SIM_TRIALS, [0]))
 
 
 def test_parameter_validation():
