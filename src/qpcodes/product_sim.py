@@ -11,12 +11,15 @@ array; visible only against the transmitted ground truth).
 
 Decoding is translation invariant, so the Monte Carlo drivers simulate the
 zero array and classify outcomes from the error pattern alone; the unit
-tests check the invariance against encoded random payloads. A chunk of
-trials is kept as the (trial, position) pairs of its errors, and is
-classified in one batch pass over the row and column syndromes those
-positions make. Only the routed trials with a silent line, the only ones
-that can end in a miscorrection, are laid out as arrays and run through
-decode.
+tests check the invariance against encoded random payloads. The channel
+draws the gaps between flipped bits rather than one uniform per bit: each
+uniform u of a trial's stream inverts to a geometric gap
+floor(log1p(-u) / log1p(-p)) + 1, so a trial of 5,184 bits reads about
+5,184 p + 1 uniforms. A chunk of trials is kept as the (trial, position)
+pairs of its errors, and is classified in one batch pass over the row and
+column syndromes those positions make. Only the routed trials with a
+silent line, the only ones that can end in a miscorrection, are laid out
+as arrays and run through decode.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
 from .gf2 import gf2_basis, independent_words
-from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_streams, thread_map
-from .rng import derive_stream  # noqa: F401  (bench/tracing.py patches this name here)
+from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, derive_streams, thread_map
 
 __all__ = [
     "DecodeOutcome",
@@ -62,6 +65,8 @@ TABLE2_REFERENCE: dict[tuple[float, int], str] = {
 
 _SUCCESS, _DETECTED, _MISCORRECTION = 0, 1, 2
 _CHUNK_TRIALS = 1024
+# a plain chunk buffers at most about this many uniforms, however high p is
+_CHUNK_UNIFORMS = 1 << 17
 # strata with P(K=k) below this are dropped; their mass is the tail bound
 _EPS_TAIL = 1e-12
 # an erasure table has one entry per packed syndrome, 2^rows in all
@@ -204,14 +209,96 @@ def encode(pc: ProductCode, payload: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _uniforms_per_trial(bits: int, p: float) -> int:
+    """How many uniforms a trial buffers for its gaps: the mean flip count
+    mu = bits * p, eight times its square root and 16 more, but never more
+    than bits, which always reach past the last bit."""
+    mu = bits * p
+    return min(bits, math.ceil(mu + 8 * math.sqrt(mu)) + 16)
+
+
+def _gap_ends(u: np.ndarray, bits: int, p: float) -> np.ndarray:
+    """Each row of uniforms, in place, as the running sums of the gaps
+    g = floor(log1p(-u) / log1p(-p)) + 1 they invert to; a running sum s
+    flips position s - 1. A gap is cut at bits + 1, which moves no flip
+    below bits and keeps every sum an exact small integer."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    # for p near the smallest float the quotient can overflow to inf, which the cut absorbs
+    with np.errstate(over="ignore"):
+        np.divide(u, math.log1p(-p), out=u)
+    np.minimum(u, bits, out=u)
+    np.floor(u, out=u)
+    u += 1
+    return np.cumsum(u, axis=1, out=u)
+
+
+def _flip_positions(
+    streams: Iterable[np.random.Generator],
+    size: int,
+    bits: int,
+    p: float,
+    replay: Callable[[int], np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, position) of every flip when each of the bits bits of size
+    trials flips independently with probability p, 0 < p <= 1.
+
+    streams yields trial 0's generator, then trial 1's, and so on. A trial
+    reads its uniforms u_1, u_2, ... in order and inverts each to the gap
+    g_i = floor(log1p(-u_i) / log1p(-p)) + 1 to its next flip (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. X.2): it flips
+    positions g_1 - 1, g_1 + g_2 - 1, ... below bits, which takes about
+    bits * p + 1 uniforms rather than bits. The positions depend on the
+    uniforms alone, not on how many are buffered: a trial whose buffered
+    gaps end before bits is drawn again, bits uniforms from the start of
+    the generator replay(t) returns.
+    """
+    narrow = np.min_scalar_type(bits - 1)
+    if p == 1.0:
+        # log1p(-1) is -inf: every gap is 1
+        return np.repeat(np.arange(size), bits), np.tile(np.arange(bits, dtype=narrow), size)
+    ends = np.empty((size, _uniforms_per_trial(bits, p)))
+    for t, rng in enumerate(streams):
+        rng.random(ends.shape[1], out=ends[t])
+    _gap_ends(ends, bits, p)
+    short = np.flatnonzero(ends[:, -1] < bits)
+    flipped = ends <= bits
+    flipped[short] = False
+    trial, i = np.nonzero(flipped)
+    pos = ends[trial, i]
+    if short.size:
+        full = _gap_ends(np.stack([replay(t).random(bits) for t in short]), bits, p)
+        again, i = np.nonzero(full <= bits)
+        trial = np.concatenate([trial, short[again]])
+        pos = np.concatenate([pos, full[again, i]])
+    pos -= 1
+    return trial, pos.astype(narrow)
+
+
 def channel(arr: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability p."""
+    """Flip each bit independently with probability p.
+
+    The bits are taken in C order. rng's uniforms are read in order, each
+    inverted to the geometric gap floor(log1p(-u) / log1p(-p)) + 1 before
+    the next flipped bit, so about arr.size * p + 1 of them are drawn. This
+    is the plain simulator's channel (_flip_positions): given a trial's
+    stream, channel flips the bits that trial flips. A draw that falls
+    short is made again from rng's state at the call.
+    """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must be in [0, 1]")
-    if p == 0.0:
+    if p == 0.0 or arr.size == 0:
         return arr.copy()
-    flips = (rng.random(size=arr.shape) < p).astype(np.uint8)
-    return arr ^ flips
+    state = rng.bit_generator.state
+
+    def replay(_: int) -> np.random.Generator:
+        rng.bit_generator.state = state
+        return rng
+
+    _, pos = _flip_positions([rng], 1, arr.size, p, replay)
+    flips = np.zeros(arr.size, dtype=np.uint8)
+    flips[pos] = 1
+    return arr ^ flips.reshape(arr.shape)
 
 
 def decode(
@@ -338,15 +425,23 @@ def _classify_batch(
     return out
 
 
+def _chunk_plan(trials: int, bits: int, p: float) -> list[tuple[int, int]]:
+    """(start, size) of each plain chunk: _CHUNK_TRIALS trials, or fewer
+    when p is so high that their uniforms would pass _CHUNK_UNIFORMS."""
+    size = min(_CHUNK_TRIALS, max(1, _CHUNK_UNIFORMS // _uniforms_per_trial(bits, p)))
+    return [(start, min(size, trials - start)) for start in range(0, trials, size)]
+
+
 def _plain_chunk(pc: ProductCode, cfg: SimConfig, chunk: tuple[int, int]) -> np.ndarray:
     start, size = chunk
+    # trial t flips the row-major positions the geometric gaps of its own
+    # stream give, as in channel; a short draw is redone on a fresh stream
     streams = derive_streams(cfg.master_seed, DOMAIN_SIM_TRIALS, range(start, start + size))
-    # a trial flips the bits whose uniform, drawn row by row as in channel,
-    # falls below p; positions are kept in the narrowest dtype that holds them
-    narrow = np.min_scalar_type(pc.bits - 1)
-    hits = [np.flatnonzero(rng.random(pc.bits) < cfg.p).astype(narrow) for rng in streams]
-    trial = np.repeat(np.arange(size), [len(h) for h in hits])
-    return _classify_batch(pc, size, trial, np.concatenate(hits), cfg.d_plus)
+    trial, pos = _flip_positions(
+        streams, size, pc.bits, cfg.p,
+        lambda t: derive_stream(cfg.master_seed, DOMAIN_SIM_TRIALS, start + t),
+    )
+    return _classify_batch(pc, size, trial, pos, cfg.d_plus)
 
 
 @dataclass(frozen=True, repr=False)
@@ -401,6 +496,8 @@ def failure_probability(
 
     plain: cfg.trials independent channel draws, one derived stream per
     trial index, so any prefix/partition of the work gives identical bits.
+    A trial's stream gives the gaps between its flipped bits, each
+    geometric with parameter p (see channel), not one uniform per bit.
     stratified: condition on the total error count K ~ Binomial(bits, p)
     with exact rational weights; strata with P(K=k) < _EPS_TAIL (1e-12) or
     k > k_max are dropped and their total mass is reported as tail_bound (an upper bound on the
@@ -419,10 +516,7 @@ def _plain_failure(pc: ProductCode, cfg: SimConfig, threads: int | None) -> SimR
             miscorrections=0, estimate=Fraction(0), ci95=_wald_halfwidth(0, cfg.trials),
             strategy="plain", master_seed=cfg.master_seed,
         )
-    size = _CHUNK_TRIALS
-    chunks = [
-        (i * size, min(size, cfg.trials - i * size)) for i in range((cfg.trials + size - 1) // size)
-    ]
+    chunks = _chunk_plan(cfg.trials, pc.bits, cfg.p)
     failures = 0
     mis = 0
     with thread_map(partial(_plain_chunk, pc, cfg), chunks, threads) as parts:

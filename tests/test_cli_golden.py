@@ -70,8 +70,8 @@ DIGESTS = {
     "s_both.json.manifest.json": "dbc7332e7c2054982e083fa15822f7d03d98678ac283775d5e2bcd34e8f16f4e",
     "s_file.json": "ce1a23fb7bc95818bac68c05a867d899bb67c9014ab3bb0324670ef86d6f97f2",
     "s_file.json.manifest.json": "ab8fa802d985b388faf522d937c53da0369cdba8da2947b036c70c08c25ea1be",
-    "sim.json": "5c5086d35602a112d1a547bba2a8732da94b6159bb847caf93f47f1687813a1b",
-    "sim.json.manifest.json": "7b81c81dd7601f15874841e3df0d91e5dd32d06897af6a6951ab5254e2e9e350",
+    "sim.json": "0841af92c559a538e7c3e20abbe803d13be44c991cfc3d3486055a443fc13601",
+    "sim.json.manifest.json": "0a6f600c9c72b437c499bfb389615cbe845833a9872429fe282856770e39fcfb",
     "sim_strat.json": "3e27d128854343273b2495ed15874f93012901b535a192ce184edf609e7145ff",
     "sim_strat.json.manifest.json": "8485db37cb2d0cb35bb376fbe74ae240dbc1908786258aa67961f383e695726a",
     "t1.csv": "ff9ce6e09eaf2dc483a0b1bab02b39ce3896c604dfd0c37f7cdddc6ed60da2f0",

@@ -18,9 +18,11 @@ from qpcodes.product_sim import (
     ProductCode,
     SimConfig,
     _binomial_weights,
+    _chunk_plan,
     _classify_batch,
     _erasure_table,
     _fill_lines,
+    _flip_positions,
     _stratum_outcomes,
     _syndromes,
     channel,
@@ -29,7 +31,7 @@ from qpcodes.product_sim import (
     encode,
     failure_probability,
 )
-from qpcodes.rng import DOMAIN_SIM_TRIALS, derive_stream
+from qpcodes.rng import DOMAIN_SIM_TRIALS, derive_stream, derive_streams
 
 PC = default_product_code()
 ZERO = np.zeros((PC.n_col, PC.n_row), dtype=np.uint8)
@@ -326,8 +328,7 @@ def test_plain_counts_match_per_trial_decode():
     failures = 0
     mis = 0
     for t in range(100):
-        rng = derive_stream(33, DOMAIN_SIM_TRIALS, t)
-        errors = (rng.random((72, 72)) < 1.2e-3).astype(np.uint8)
+        errors = channel(ZERO, 1.2e-3, derive_stream(33, DOMAIN_SIM_TRIALS, t))
         out = decode(PC, errors, 4, ZERO)
         failures += out.outcome != "success"
         mis += out.outcome == "miscorrection"
@@ -335,10 +336,11 @@ def test_plain_counts_match_per_trial_decode():
 
 
 def test_counts_are_pinned():
-    # values the mask-tracking decoder gave for the same runs
+    # plain: the geometric-gap channel, whose rate the closed form checks
+    # (test_plain_matches_closed_form); stratified: the mask-tracking decoder
     plain = failure_probability(PC, SimConfig(p=1e-3, d_plus=4, trials=3000, master_seed=17))
-    assert (plain.failures, plain.miscorrections) == (1618, 0)
-    assert plain.estimate == Fraction(809, 1500)
+    assert (plain.failures, plain.miscorrections) == (1676, 0)
+    assert plain.estimate == Fraction(419, 750)
     strat = failure_probability(
         PC,
         SimConfig(p=1.2e-3, d_plus=5, trials=1, master_seed=17, strategy="stratified"),
@@ -346,6 +348,105 @@ def test_counts_are_pinned():
     )
     assert (strat.trials, strat.failures, strat.miscorrections) == (4650, 3703, 0)
     assert float(strat.estimate) == 0.5396517995295458
+
+
+# failure rates of the column-then-row decoder under the iid channel, in
+# closed form from the component's S_a and spectrum (ROADMAP item 2)
+CLOSED_FORM = {(1e-3, 3): 0.73222, (1e-3, 4): 0.54496, (1e-3, 6): 0.21539, (5e-4, 3): 0.23975}
+
+
+@pytest.mark.parametrize("p, d_plus", sorted(CLOSED_FORM))
+def test_plain_matches_closed_form(p, d_plus):
+    res = failure_probability(PC, SimConfig(p=p, d_plus=d_plus, trials=3000, master_seed=17))
+    want = CLOSED_FORM[p, d_plus]
+    assert abs(float(res.estimate) - want) < 4 * math.sqrt(want * (1 - want) / 3000)
+
+
+def _flips(seed, trials, p):
+    """Sorted (trial, position) pairs a plain chunk of trials draws, and how
+    many trials were drawn again."""
+    replayed = []
+
+    def replay(t):
+        replayed.append(t)
+        return derive_stream(seed, DOMAIN_SIM_TRIALS, t)
+
+    streams = derive_streams(seed, DOMAIN_SIM_TRIALS, range(trials))
+    trial, pos = _flip_positions(streams, trials, PC.bits, p, replay)
+    return sorted(zip(trial.tolist(), pos.tolist())), len(replayed)
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-2, 0.3])
+def test_short_draws_are_redrawn_exactly(monkeypatch, p):
+    for seed in (3, 17, 2**63 + 9):
+        want, replayed = _flips(seed, 40, p)
+        assert replayed == 0
+        # one buffered uniform: every trial with a flip before the last bit is drawn again
+        monkeypatch.setattr(product_sim, "_uniforms_per_trial", lambda bits, p: 1)
+        got, replayed = _flips(seed, 40, p)
+        monkeypatch.undo()
+        assert got == want
+        assert replayed == len({t for t, pos in want if pos < PC.bits - 1}) > 0
+
+
+def test_channel_law():
+    # flips are iid Bernoulli(p): count, both ends and adjacent pairs within 4 sigma
+    p, n, bits = 0.05, 2000, PC.bits
+    flips = np.zeros((n, bits), dtype=bool)
+    pairs, _ = _flips(41, n, p)
+    trial, pos = np.array(pairs).T
+    flips[trial, pos] = True
+    assert len(pairs) == flips.sum()  # no position repeats
+    counts = flips.sum(axis=1)
+    mean, var = bits * p, bits * p * (1 - p)
+    assert abs(counts.mean() - mean) < 4 * math.sqrt(var / n)
+    k4 = var * (1 - 6 * p * (1 - p))  # fourth cumulant of the binomial
+    assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((2 * var**2 * n / (n - 1) + k4) / n)
+    for end in (0, bits - 1):
+        assert abs(flips[:, end].mean() - p) < 4 * math.sqrt(p * (1 - p) / n)
+    both = flips[:, :-1] & flips[:, 1:]
+    # neighbouring pairs share a bit: 1-dependent sums
+    per_row = (bits - 1) * p**2 * (1 - p**2) + 2 * (bits - 2) * (p**3 - p**4)
+    assert abs(both.mean() - p**2) < 4 * math.sqrt(n * per_row) / both.size
+
+
+def test_channel_extremes():
+    pairs, _ = _flips(5, 3, 1.0)
+    assert pairs == [(t, pos) for t in range(3) for pos in range(PC.bits)]
+    with np.errstate(all="raise"):
+        for p in (1e-12, 5e-324):
+            res = failure_probability(PC, SimConfig(p=p, d_plus=3, trials=3000, master_seed=8))
+            assert res.failures == 0
+            assert channel(ZERO, p, derive_stream(8, DOMAIN_SIM_TRIALS, 0)).sum() == 0
+    assert channel(ZERO[:0], 0.3, derive_stream(8, DOMAIN_SIM_TRIALS, 0)).shape == (0, 72)
+
+
+def test_seeds_past_2_63_draw_apart():
+    draws = [tuple(_flips(seed, 4, 1e-2)[0]) for seed in (2**63, 2**63 + 1, 2**63 + 2, 2**64 - 1)]
+    assert len(set(draws)) == 4
+    by_trial = [tuple(pos for t, pos in draws[0] if t == trial) for trial in range(4)]
+    assert len(set(by_trial)) == 4
+
+
+def test_chunk_plan():
+    assert _chunk_plan(3000, PC.bits, 1e-2) == [(0, 1024), (1024, 1024), (2048, 952)]
+    assert _chunk_plan(5, PC.bits, 1e-3) == [(0, 5)]
+    # about 2^17 buffered uniforms at most: 126 per trial at p = 1e-2, 5184 at p = 1
+    for p, size in ((5e-3, 1024), (1e-1, 182), (0.5, 43), (1.0, 25)):
+        plan = _chunk_plan(2500, PC.bits, p)
+        assert plan[0] == (0, size)
+        assert [start for start, _ in plan] == list(range(0, 2500, size))
+        assert sum(s for _, s in plan) == 2500
+        assert size * product_sim._uniforms_per_trial(PC.bits, p) <= 2**17
+
+
+def test_high_p_counts_do_not_depend_on_chunking(monkeypatch):
+    cfg = SimConfig(p=0.5, d_plus=4, trials=150, master_seed=12)
+    base = failure_probability(PC, cfg, threads=2)
+    for chunk in (64, 7):
+        monkeypatch.setattr(product_sim, "_CHUNK_TRIALS", chunk)
+        res = failure_probability(PC, cfg, threads=2)
+        assert (res.failures, res.miscorrections) == (base.failures, base.miscorrections)
 
 
 def test_failures_monotone_in_d_plus():
