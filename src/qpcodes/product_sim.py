@@ -15,9 +15,11 @@ tests check the invariance against encoded random payloads. The channel
 draws the gaps between flipped bits rather than one uniform per bit: each
 uniform u of a trial's stream inverts to a geometric gap
 floor(log1p(-u) / log1p(-p)) + 1, so a trial of 5,184 bits reads about
-5,184 p + 1 uniforms. A chunk of trials is kept as the (trial, position)
-pairs of its errors, and is classified in one batch pass over the row and
-column syndromes those positions make. Only the routed trials with a
+5,184 p + 1 uniforms, and the uniforms of a whole chunk of trials come
+from one array computation (rng.stream_uniforms), not a Python call per
+trial. A chunk of trials is kept as the (trial, position) pairs of its
+errors, and is classified in one batch pass over the row and column
+syndromes those positions make. Only the routed trials with a
 silent line, the only ones that can end in a miscorrection, are laid out
 as arrays and run through decode.
 """
@@ -29,14 +31,16 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
 from .gf2 import gf2_basis, independent_words
-from .rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, derive_streams, thread_map
+from .rng import (
+    DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, derive_streams, stream_uniforms, thread_map,
+)
 
 __all__ = [
     "DecodeOutcome",
@@ -67,6 +71,11 @@ _SUCCESS, _DETECTED, _MISCORRECTION = 0, 1, 2
 _CHUNK_TRIALS = 1024
 # a plain chunk buffers at most about this many uniforms, however high p is
 _CHUNK_UNIFORMS = 1 << 17
+# trials that a run of neighbouring strata classifies in one batch: one call
+# per stratum spends its time on per-call overhead when per_stratum is small,
+# and high-k strata hold up to twice a plain trial's errors, so a run is kept
+# to a quarter of a plain chunk
+_STRATA_RUN_TRIALS = 256
 # strata with P(K=k) below this are dropped; their mass is the tail bound
 _EPS_TAIL = 1e-12
 # an erasure table has one entry per packed syndrome, 2^rows in all
@@ -234,7 +243,7 @@ def _gap_ends(u: np.ndarray, bits: int, p: float) -> np.ndarray:
 
 
 def _flip_positions(
-    streams: Iterable[np.random.Generator],
+    draw: Callable[[int], np.ndarray],
     size: int,
     bits: int,
     p: float,
@@ -243,8 +252,9 @@ def _flip_positions(
     """(trial, position) of every flip when each of the bits bits of size
     trials flips independently with probability p, 0 < p <= 1.
 
-    streams yields trial 0's generator, then trial 1's, and so on. A trial
-    reads its uniforms u_1, u_2, ... in order and inverts each to the gap
+    draw(m) returns the first m uniforms of every trial's stream as a
+    (size, m) array, which is then overwritten. A trial reads its
+    uniforms u_1, u_2, ... in order and inverts each to the gap
     g_i = floor(log1p(-u_i) / log1p(-p)) + 1 to its next flip (Devroye,
     Non-Uniform Random Variate Generation, 1986, ch. X.2): it flips
     positions g_1 - 1, g_1 + g_2 - 1, ... below bits, which takes about
@@ -257,10 +267,7 @@ def _flip_positions(
     if p == 1.0:
         # log1p(-1) is -inf: every gap is 1
         return np.repeat(np.arange(size), bits), np.tile(np.arange(bits, dtype=narrow), size)
-    ends = np.empty((size, _uniforms_per_trial(bits, p)))
-    for t, rng in enumerate(streams):
-        rng.random(ends.shape[1], out=ends[t])
-    _gap_ends(ends, bits, p)
+    ends = _gap_ends(draw(_uniforms_per_trial(bits, p)), bits, p)
     short = np.flatnonzero(ends[:, -1] < bits)
     flipped = ends <= bits
     flipped[short] = False
@@ -295,7 +302,7 @@ def channel(arr: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
         rng.bit_generator.state = state
         return rng
 
-    _, pos = _flip_positions([rng], 1, arr.size, p, replay)
+    _, pos = _flip_positions(lambda m: rng.random((1, m)), 1, arr.size, p, replay)
     flips = np.zeros(arr.size, dtype=np.uint8)
     flips[pos] = 1
     return arr ^ flips.reshape(arr.shape)
@@ -435,10 +442,12 @@ def _chunk_plan(trials: int, bits: int, p: float) -> list[tuple[int, int]]:
 def _plain_chunk(pc: ProductCode, cfg: SimConfig, chunk: tuple[int, int]) -> np.ndarray:
     start, size = chunk
     # trial t flips the row-major positions the geometric gaps of its own
-    # stream give, as in channel; a short draw is redone on a fresh stream
-    streams = derive_streams(cfg.master_seed, DOMAIN_SIM_TRIALS, range(start, start + size))
+    # stream give, as in channel; the streams of the whole chunk are drawn
+    # in one array pass, and a short draw is redone on a fresh stream
+    trials = range(start, start + size)
     trial, pos = _flip_positions(
-        streams, size, pc.bits, cfg.p,
+        lambda m: stream_uniforms(cfg.master_seed, DOMAIN_SIM_TRIALS, trials, m),
+        size, pc.bits, cfg.p,
         lambda t: derive_stream(cfg.master_seed, DOMAIN_SIM_TRIALS, start + t),
     )
     return _classify_batch(pc, size, trial, pos, cfg.d_plus)
@@ -564,16 +573,20 @@ def _binomial_weights(bits: int, p: float, eps_tail: float, k_max: int | None) -
     return kept, denom
 
 
-def _stratum_outcomes(
-    pc: ProductCode, cfg: SimConfig, per_stratum: int, k: int
-) -> np.ndarray:
-    pos = np.empty((per_stratum, k), dtype=np.int64)
-    if k > 0:
-        indices = ((k << 32) | t for t in range(per_stratum))
-        for t, rng in enumerate(derive_streams(cfg.master_seed, DOMAIN_SIM_STRATA, indices)):
-            pos[t] = rng.choice(pc.bits, size=k, replace=False)
-    trial = np.repeat(np.arange(per_stratum), k)
-    return _classify_batch(pc, per_stratum, trial, pos.ravel(), cfg.d_plus)
+def _stratum_outcomes(pc: ProductCode, cfg: SimConfig, per_stratum: int, *ks: int) -> np.ndarray:
+    """Outcome codes of per_stratum trials in each stratum of ks in turn,
+    classified in one batch. Trial t of stratum k puts its k errors where
+    its own stream's choice of k positions falls."""
+    errors = np.repeat(ks, per_stratum)
+    ends = np.cumsum(errors)
+    pos = np.empty(int(ends[-1]), dtype=np.int64)
+    indices = ((k << 32) | t for k in ks for t in range(per_stratum))
+    streams = derive_streams(cfg.master_seed, DOMAIN_SIM_STRATA, indices)
+    for end, k, rng in zip(ends.tolist(), errors.tolist(), streams):
+        if k > 0:
+            pos[end - k:end] = rng.choice(pc.bits, size=k, replace=False)
+    trial = np.repeat(np.arange(errors.size), errors)
+    return _classify_batch(pc, errors.size, trial, pos, cfg.d_plus)
 
 
 def _stratified_failure(
@@ -589,8 +602,13 @@ def _stratified_failure(
     if not weights:
         raise PreconditionError(f"every stratum has P(K=k) < {_EPS_TAIL} or k > k_max; raise k_max")
     ks = sorted(weights)
-    with thread_map(partial(_stratum_outcomes, pc, cfg, per_stratum), ks, threads) as parts:
-        outcomes = list(parts)
+    run = max(1, _STRATA_RUN_TRIALS // per_stratum)
+    with thread_map(
+        lambda run_ks: _stratum_outcomes(pc, cfg, per_stratum, *run_ks),
+        [ks[i:i + run] for i in range(0, len(ks), run)],
+        threads,
+    ) as parts:
+        outcomes = np.concatenate(list(parts)).reshape(len(ks), per_stratum)
     numerator = 0  # of the estimate, over denom * per_stratum
     variance = 0.0
     failures = 0

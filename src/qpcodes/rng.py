@@ -7,7 +7,9 @@ numbers an index sees depend only on the seed and the index, never on
 scheduling or on how indices are grouped into chunks. derive_streams
 serves a run of indices from one Philox whose state it resets to a fresh
 one under each index's key, which yields the same draws as derive_stream
-without building a generator each time. thread_map is the one place chunks meet
+without building a generator each time. stream_uniforms computes the first
+uniforms of a run of indices' streams at once, on numpy arrays, for the
+draws that are plain uniforms. thread_map is the one place chunks meet
 threads.
 """
 
@@ -65,6 +67,80 @@ def derive_streams(
         state["state"]["key"] = _key(master_seed, domain, index)
         bit_gen.state = state
         yield gen
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: round
+# multipliers and the Weyl increments that bump the key between rounds
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
+    """Each 128-bit product a * m, from the 32-bit halves of a and m: its
+    high word into hi and its low word over a. t1 and t2 are scratch."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    np.right_shift(a, _32, out=hi)
+    np.bitwise_and(a, _LOW32, out=t1)
+    np.multiply(t1, m_hi, out=t2)
+    np.multiply(t1, m_lo, out=t1)
+    np.right_shift(t1, _32, out=t1)
+    np.multiply(a, np.uint64(m), out=a)
+    # t1 gathers the middle 32-bit column and its carry, t2 the high column
+    t1 += t2 & _LOW32
+    np.right_shift(t2, _32, out=t2)
+    t2 += hi * m_hi
+    np.multiply(hi, m_lo, out=hi)
+    t1 += hi & _LOW32
+    np.right_shift(hi, _32, out=hi)
+    hi += t2
+    np.right_shift(t1, _32, out=t1)
+    hi += t1
+
+
+def stream_uniforms(master_seed: int, domain: int, indices: range, count: int) -> np.ndarray:
+    """(len(indices), count) array whose row i equals
+    derive_stream(master_seed, domain, indices[i]).random(count).
+
+    A new Philox turns counter c = 1, 2, ... into four 64-bit words each,
+    and random() maps a word w to (w >> 11) / 2^53. Here that runs for
+    every index at once, on whole-array numpy operations, rather than a
+    generator per index: the work is a few hundred array operations that
+    run without the GIL, not a Python call per index, so threads drawing
+    side by side do not wait on one another.
+    """
+    if len(indices):
+        _key(master_seed, domain, indices[0])
+        _key(master_seed, domain, indices[-1])
+    blocks = -(-count // 4)
+    shape = (len(indices), blocks)
+    # the four counter words of every block, two high words and two scratch
+    c0, c1, c2, c3, h0, h1, t1, t2 = np.zeros((8, *shape), dtype=np.uint64)
+    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    k0 = master_seed
+    k1 = np.uint64(domain << 56) | np.arange(
+        indices.start, indices.stop, indices.step, dtype=np.uint64
+    )[:, None]
+    for r in range(10):
+        if r:
+            # k0 is a Python int: a numpy scalar would warn when it wraps
+            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        _mulhilo(c0, _PHILOX_M[0], h0, t1, t2)
+        _mulhilo(c2, _PHILOX_M[1], h1, t1, t2)
+        h1 ^= c1
+        h1 ^= np.uint64(k0)
+        h0 ^= c3
+        h0 ^= k1
+        # the round's output is (h1, low of c2, h0, low of c0); the old c1
+        # and c3 are free for the next round's high words
+        c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c3, c1
+    out = np.empty((*shape, 4))
+    for j, word in enumerate((c0, c1, c2, c3)):
+        word >>= np.uint64(11)
+        np.multiply(word, 1.0 / (1 << 53), out=out[:, :, j])
+    return out.reshape(len(indices), 4 * blocks)[:, :count]
 
 
 def thread_count(explicit: int | None = None) -> int:

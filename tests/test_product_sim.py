@@ -31,7 +31,7 @@ from qpcodes.product_sim import (
     encode,
     failure_probability,
 )
-from qpcodes.rng import DOMAIN_SIM_TRIALS, derive_stream, derive_streams
+from qpcodes.rng import DOMAIN_SIM_TRIALS, derive_stream, stream_uniforms
 
 PC = default_product_code()
 ZERO = np.zeros((PC.n_col, PC.n_row), dtype=np.uint8)
@@ -371,8 +371,10 @@ def _flips(seed, trials, p):
         replayed.append(t)
         return derive_stream(seed, DOMAIN_SIM_TRIALS, t)
 
-    streams = derive_streams(seed, DOMAIN_SIM_TRIALS, range(trials))
-    trial, pos = _flip_positions(streams, trials, PC.bits, p, replay)
+    def draw(m):
+        return stream_uniforms(seed, DOMAIN_SIM_TRIALS, range(trials), m)
+
+    trial, pos = _flip_positions(draw, trials, PC.bits, p, replay)
     return sorted(zip(trial.tolist(), pos.tolist())), len(replayed)
 
 

@@ -11,6 +11,7 @@ from qpcodes.rng import (
     DOMAIN_SIM_TRIALS,
     derive_stream,
     derive_streams,
+    stream_uniforms,
     thread_count,
     thread_map,
 )
@@ -84,6 +85,25 @@ def test_rekeyed_streams_validate_each_index():
         next(streams)
     with pytest.raises(PreconditionError):
         next(derive_streams(1 << 64, DOMAIN_SIM_TRIALS, [0]))
+
+
+@pytest.mark.parametrize("seed", [0, 33, 2**63 - 1, 2**63 + 5, 2**64 - 1])
+def test_array_uniforms_equal_each_streams_own(seed):
+    for domain in (DOMAIN_SIM_TRIALS, 255):
+        for indices in (range(0, 5), range((1 << 56) - 3, 1 << 56), range(9, 40, 7)):
+            for count in (1, 4, 7, 130):
+                want = np.stack([derive_stream(seed, domain, i).random(count) for i in indices])
+                # the key words wrap past 2^64 as they are bumped, warning-free
+                with np.errstate(all="raise"):
+                    assert np.array_equal(stream_uniforms(seed, domain, indices, count), want)
+    assert stream_uniforms(seed, DOMAIN_SIM_TRIALS, range(3, 3), 5).shape == (0, 5)
+
+
+def test_array_uniforms_validate_their_keys():
+    with pytest.raises(PreconditionError):
+        stream_uniforms(1, DOMAIN_SIM_TRIALS, range((1 << 56) - 1, (1 << 56) + 1), 4)
+    with pytest.raises(PreconditionError):
+        stream_uniforms(1 << 64, DOMAIN_SIM_TRIALS, range(2), 4)
 
 
 def test_parameter_validation():
