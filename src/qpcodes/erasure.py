@@ -21,7 +21,9 @@ Every count reads H's columns in the coordinates of a row basis of H, one
 word per column in the narrowest unsigned dtype that holds rank(H) <= 64
 bits. The enumeration and sampling kernels share one elimination, the
 batched kernel in gf2, which reduces a whole array of partial subsets with
-numpy array ops, one basis per array entry.
+numpy array ops, one basis per array entry. The sampler runs it on every
+drawn row of indices unsorted: a row that repeats an index is never
+independent, so the repeats are only counted, to redraw that many rows.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .construct import Code, _shorten
 from .errors import BudgetError, ConsistencyError, PreconditionError
-from .gf2 import BitMatrix, gf2_basis, independent_words, lowest_bit, reduce_words
+from .gf2 import BitMatrix, gf2_basis, independent_words, reduce_words
 from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_map
 from .spectrum import WeightSpectrum, comb0, oracle_spectrum
 
@@ -219,8 +221,8 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
     """Independent rho-subsets whose smallest member is column j0.
 
     Level-synchronized walk of the pruned prefix tree: the frontier holds
-    (highest index, basis, pivots) for every independent prefix, sorted by
-    the highest index so the parents of a candidate column form a slice.
+    (highest index, basis) for every independent prefix, sorted by the
+    highest index so the parents of a candidate column form a slice.
     """
     if not cols[j0]:
         return 0
@@ -228,20 +230,18 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
         return 1
     last = np.array([j0], dtype=np.int64)
     basis = cols[j0 : j0 + 1].reshape(1, 1)
-    pivots = lowest_bit(basis)
     for level in range(1, rho):
         final = level + 1 == rho
         remaining = rho - level - 1
         hits = 0
         parts_last: list[np.ndarray] = []
         parts_basis: list[np.ndarray] = []
-        parts_pivots: list[np.ndarray] = []
         for j in range(j0 + level, n - remaining):
             hi = int(np.searchsorted(last, j))
             for lo in range(0, hi, _SLICE):
                 part = slice(lo, min(lo + _SLICE, hi))
-                pb, pp = basis[:, part], pivots[:, part]
-                x = reduce_words(np.full(pb.shape[1], cols[j], dtype=cols.dtype), pb, pp)
+                pb = basis[:, part]
+                x = reduce_words(np.full(pb.shape[1], cols[j], dtype=cols.dtype), pb)
                 nz = x != 0
                 if final:
                     hits += int(np.count_nonzero(nz))
@@ -250,14 +250,12 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
                 if not xs.size:
                     continue
                 parts_basis.append(np.vstack([pb[:, nz], xs]))
-                parts_pivots.append(np.vstack([pp[:, nz], lowest_bit(xs)]))
                 parts_last.append(np.full(xs.size, j, dtype=np.int64))
         if final:
             return hits
         if not parts_basis:
             return 0
         basis = np.concatenate(parts_basis, axis=1)
-        pivots = np.concatenate(parts_pivots, axis=1)
         last = np.concatenate(parts_last)
     raise AssertionError("unreachable")
 
@@ -413,27 +411,31 @@ class SampleEstimate:
         return 1.96 * self.std_error
 
 
-def _count_hits(cols: np.ndarray, idxs: np.ndarray) -> int:
-    """Rows of idxs (m, rho) whose columns are independent."""
-    return int(np.count_nonzero(independent_words(cols[idxs.T])))
+def _count_hits(cols: np.ndarray, idx: np.ndarray) -> int:
+    """Columns of idx (rho, m) whose words in cols are independent."""
+    return int(np.count_nonzero(independent_words(cols[idx])))
 
 
 def _sample_chunk(cols: np.ndarray, n: int, rho: int, master_seed: int, job: tuple[int, int]) -> int:
+    """Hits among one chunk's size rho-subsets. A drawn row that repeats an
+    index is redrawn; the kernel runs on it all the same and finds it
+    dependent, as the repeated word reduces to zero."""
     index, size = job
     rng = derive_stream(master_seed, DOMAIN_ERASURE_SAMPLING, index)
     hits = 0
     got = 0
     while got < size:
-        draw = rng.integers(0, n, size=(size - got, rho), dtype=np.int64)
-        draw.sort(axis=1)
-        # the int64 draw is part of the stream plan; narrow indices only
-        # after it, so the de-duplicated copy and the kernel's gathers are small
-        draw = draw.astype(np.min_scalar_type(n - 1))
-        if rho > 1:
-            draw = draw[np.all(draw[:, 1:] != draw[:, :-1], axis=1)]
-        got += draw.shape[0]
-        for lo in range(0, draw.shape[0], _HIT_BATCH):
-            hits += _count_hits(cols, draw[lo : lo + _HIT_BATCH])
+        # the int64 draw is part of the stream plan; narrowing it at once
+        # frees it before the kernel runs and keeps the kernel's gathers small
+        idx = np.ascontiguousarray(
+            rng.integers(0, n, size=(size - got, rho), dtype=np.int64).T, dtype=np.min_scalar_type(n - 1)
+        )
+        repeated = np.zeros(idx.shape[1], dtype=bool)
+        for i, j in combinations(range(rho), 2):
+            repeated |= idx[i] == idx[j]
+        got += idx.shape[1] - int(np.count_nonzero(repeated))
+        for lo in range(0, idx.shape[1], _HIT_BATCH):
+            hits += _count_hits(cols, idx[:, lo : lo + _HIT_BATCH])
     return hits
 
 
@@ -447,9 +449,9 @@ def s_rho_sampled(
 ) -> SampleEstimate:
     """Unbiased estimate of delta_rho from uniform random rho-subsets.
 
-    Subsets are drawn by rejection (sorted index tuples, duplicates
-    redrawn), in fixed-size chunks with one derived stream each, so the
-    estimate is reproducible for a given master seed at any thread count.
+    Subsets are drawn by rejection (rows of rho indices, a row that repeats
+    an index redrawn), in fixed-size chunks with one derived stream each, so
+    the estimate is reproducible for a given master seed at any thread count.
     """
     h = code.H
     n = h.cols

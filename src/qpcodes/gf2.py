@@ -5,7 +5,9 @@ entry in column j (least-significant bit = lowest column index). This is the
 convention used by the text format and by every kernel downstream.
 
 The batched kernel at the end decides independence for whole numpy arrays
-of such words at once, for the erasure counts and the simulator alike.
+of such words at once, for the erasure counts and the simulator alike. It
+keeps no pivots: a word is reduced by a basis vector when XOR makes it
+smaller as an unsigned number, two array ops per basis vector.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "gf2_basis",
     "gf2_rank",
     "independent_words",
-    "lowest_bit",
     "reduce_words",
 ]
 
@@ -134,36 +135,30 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return len(gf2_basis(rows))
 
 
-def reduce_words(x: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    """Reduce words x (in place) against one echelon basis per entry.
+def reduce_words(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Reduce words x (in place) against one basis per entry.
 
-    basis[s] and pivots[s] hold the s-th basis vector of every entry and its
-    one-hot pivot. Vector s has no bit at the pivots of vectors before it,
-    so reducing in insertion order clears every pivot: x ends at zero iff it
-    lies in the span. A zero vector (pivot 0) reduces nothing.
+    basis[s] holds the s-th basis vector of every entry, with no bit at the
+    leading (highest) bits of the vectors before it. x ^ b < x exactly when
+    b's leading bit is set in x, so the smaller of the two clears it, and
+    reducing in insertion order clears every leading bit: x ends at zero iff
+    it lies in the span. A zero vector reduces nothing. Words must be
+    unsigned or nonnegative, as the comparison needs unsigned order.
     """
-    for b, p in zip(basis, pivots):
-        x ^= b * ((x & p) != 0)
+    for b in basis:
+        np.minimum(x, x ^ b, out=x)
     return x
-
-
-def lowest_bit(x: np.ndarray) -> np.ndarray:
-    return x & (~x + 1)
 
 
 def independent_words(vals: np.ndarray) -> np.ndarray:
     """True for every set whose words are linearly independent.
 
     vals[t, i] is the t-th word of set i; vals is reduced in place. Each
-    word is reduced against the ones before it in its set and kept as the
-    next basis vector, so a set is independent iff no word reduces to zero.
+    word is reduced against the ones before it in its set, which then serve
+    as its basis, so a set is independent iff no word reduces to zero.
     """
-    basis = np.empty_like(vals)
-    pivots = np.empty_like(vals)
     ok = np.ones(vals.shape[1:], dtype=bool)
     for t, x in enumerate(vals):
-        reduce_words(x, basis[:t], pivots[:t])
+        reduce_words(x, vals[:t])
         ok &= x != 0
-        basis[t] = x
-        pivots[t] = lowest_bit(x)
     return ok

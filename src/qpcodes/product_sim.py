@@ -359,16 +359,15 @@ def decode(
 # ---------------------------------------------------------------------------
 
 
-def _erasable(flags: np.ndarray, words: list[int], cap: int) -> np.ndarray:
+def _erasable(flags: np.ndarray, words: np.ndarray, cap: int) -> np.ndarray:
     """Per trial, whether its flagged lines (True in a row of flags) are at
-    most cap in number and independent as columns of H, whose column ints
-    are words. No flagged line at all is an empty, independent set."""
+    most cap in number and independent as columns of H, whose column words
+    (unsigned) are words. No flagged line at all is an empty, independent set."""
     counts = np.count_nonzero(flags, axis=1)
     ok = counts == 0
     few = np.flatnonzero((counts > 0) & (counts <= cap))
     # the flagged indices of each trial first, in increasing order
     order = np.argsort(~flags[few], axis=1, kind="stable")
-    words = np.asarray(words)
     for c in range(1, cap + 1):
         sel = counts[few] == c
         if sel.any():
@@ -416,8 +415,8 @@ def _classify_batch(
     row, col = np.divmod(pos, pc.n_row)
     row_flag, row_hit = _line_states(trial, row, row_words[col], size, pc.n_col)
     col_flag, col_hit = _line_states(trial, col, col_words[row], size, pc.n_row)
-    by_cols = _erasable(col_flag, pc.row_cols, min(d_plus, pc.h_row.shape[0]))
-    routed = by_cols | _erasable(row_flag, pc.col_cols, min(d_plus, pc.h_col.shape[0]))
+    by_cols = _erasable(col_flag, row_words, min(d_plus, pc.h_row.shape[0]))
+    routed = by_cols | _erasable(row_flag, col_words, min(d_plus, pc.h_col.shape[0]))
     silent = np.where(
         by_cols, (col_hit & ~col_flag).any(axis=1), (row_hit & ~row_flag).any(axis=1)
     )

@@ -199,7 +199,7 @@ def test_criterion_05_reference_grid_extended_regime():
 
 def test_sampled_grid_cells_are_exact_on_the_lattice():
     """The four r=8 cells criterion 5 samples, counted exactly, and within the
-    1e-4 slack of their printed values. eh8 rho=7 has C(128,7) = 8.4e10
+    1e-4 slack of their printed values. eh8 rho=7 has C(128,7) = 9.45e10
     subsets, over the default budget, so the budget is raised to C(n, rho);
     the lattice route visits 417,198 subspaces at rank 8."""
     expect = {

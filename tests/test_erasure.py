@@ -278,6 +278,14 @@ def test_sampled_hits_are_pinned():
     assert s_rho_sampled(extended_hamming(10), 6, 100_000, master_seed=8).hits == 96_851
 
 
+def test_sampled_hits_with_mostly_repeated_draws_are_pinned():
+    # at n = 10, rho = 5 about 70% of drawn rows repeat an index and are
+    # redrawn, so these totals pin the redraw count, within one chunk and
+    # across two
+    assert s_rho_sampled(pan5, 5, 200_000, master_seed=3).hits == 139_475
+    assert s_rho_sampled(pan5, 5, (1 << 20) + 5000, master_seed=4).hits == 735_549
+
+
 def test_sampling_validation():
     with pytest.raises(PreconditionError):
         s_rho_sampled(pan5, 0, 100, 1)
@@ -325,10 +333,10 @@ def test_kernel_matches_brute_force_at_every_word_width(ranks, nrows, n, rhos):
             expect = [h.columns_independent(sub) for sub in subsets]
             assert s_rho_exact(code, rho, threads=1) == sum(expect)
             idxs = np.array(subsets, dtype=np.int64)
-            assert erasure._count_hits(words, idxs) == sum(expect)
-            # and row by row, so that no two errors can cancel in the totals
+            assert erasure._count_hits(words, idxs.T) == sum(expect)
+            # and subset by subset, so that no two errors can cancel in the totals
             for pick in rng.sample(range(len(subsets)), min(200, len(subsets))):
-                assert erasure._count_hits(words, idxs[pick : pick + 1]) == expect[pick]
+                assert erasure._count_hits(words, idxs[pick : pick + 1].T) == expect[pick]
 
 
 def test_kernel_refuses_rank_above_64():

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from qpcodes.errors import PreconditionError
-from qpcodes.gf2 import BitMatrix, gf2_rank
+from qpcodes.gf2 import BitMatrix, gf2_rank, independent_words, reduce_words
 
 
 def dense_rank(rows, ncols):
@@ -138,3 +139,61 @@ def test_matrix_text_roundtrip():
 def test_matrix_text_rejects_malformed(bad):
     with pytest.raises(PreconditionError):
         BitMatrix.from_text(bad)
+
+
+# (dtype, value bits): every unsigned word width, and nonnegative int64,
+# whose top value bit is bit 62
+KERNEL_DTYPES = [(np.uint8, 8), (np.uint16, 16), (np.uint32, 32), (np.uint64, 64), (np.int64, 63)]
+KERNEL_IDS = [np.dtype(t).name for t, _ in KERNEL_DTYPES]
+
+
+def random_word_sets(rng, bits, sets, size):
+    """sets lists of size words below 2^bits, each word zero, a repeat,
+    the XOR of two earlier words, a word with the top bit set, or random;
+    so the sets mix dependent and independent ones."""
+    top = 1 << (bits - 1)
+    out = []
+    for _ in range(sets):
+        words = []
+        for _ in range(size):
+            kind = rng.randrange(6)
+            if kind == 0:
+                w = 0
+            elif kind == 1 and words:
+                w = rng.choice(words)
+            elif kind == 2 and len(words) > 1:
+                a, b = rng.sample(words, 2)
+                w = a ^ b
+            elif kind == 3:
+                w = top | rng.getrandbits(bits - 1)
+            else:
+                w = rng.getrandbits(bits)
+            words.append(w)
+        out.append(words)
+    return out
+
+
+@pytest.mark.parametrize("dtype,bits", KERNEL_DTYPES, ids=KERNEL_IDS)
+def test_independent_words_matches_rank(dtype, bits):
+    rng = random.Random(bits)
+    for size in range(1, min(bits, 7) + 1):
+        sets = random_word_sets(rng, bits, 300, size)
+        vals = np.array(sets, dtype=dtype).T.copy()
+        got = independent_words(vals)
+        assert got.tolist() == [gf2_rank(words) == size for words in sets]
+
+
+@pytest.mark.parametrize("dtype,bits", KERNEL_DTYPES, ids=KERNEL_IDS)
+def test_reduce_words_decides_span_membership(dtype, bits):
+    rng = random.Random(bits + 1)
+    for size in range(1, min(bits, 6) + 1):
+        sets = random_word_sets(rng, bits, 300, size + 1)
+        vals = np.array(sets, dtype=dtype).T.copy()
+        basis, x = vals[:size], vals[size].copy()
+        independent_words(basis)  # reduces basis in place to the kernel's basis form
+        reduce_words(x, basis)
+        for words, left in zip(sets, x.tolist()):
+            rank = gf2_rank(words[:-1])
+            assert (left == 0) == (gf2_rank(words) == rank)
+            # what was taken off lies in the span
+            assert gf2_rank(words[:-1] + [words[-1] ^ left]) == rank
