@@ -41,7 +41,9 @@ from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix
 from .product_sim import (
     TABLE2_REFERENCE,
+    ProductCode,
     SimConfig,
+    SimResult,
     default_product_code,
     failure_probability,
 )
@@ -61,14 +63,6 @@ def _sha256(path: Path) -> str:
 
 def _json(obj, sort_keys: bool = False) -> str:
     return json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _emit(
@@ -97,10 +91,38 @@ def _emit(
     Path(str(out) + ".manifest.json").write_text(_json(manifest, sort_keys=True))
 
 
+def _emit_table(
+    args: argparse.Namespace,
+    columns: list[tuple[str, str]],
+    rows: list[list[tuple]],
+    sidecar: dict,
+    inputs: Iterable[Path] = (),
+    master_seed: int | None = None,
+) -> None:
+    """A table through _emit: --out as CSV, and the sidecar with a "rows"
+    list appended. columns are (CSV header, sidecar key) pairs; each row
+    holds one (CSV cell, sidecar value) pair per column, in the same order.
+    The header comes from columns, so a table with no rows still has one."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([header for header, _ in columns])
+    json_rows = []
+    for row in rows:
+        writer.writerow([cell for cell, _ in row])
+        json_rows.append({key: value for (_, key), (_, value) in zip(columns, row)})
+    _emit(args, buf.getvalue(), {**sidecar, "rows": json_rows}, inputs, master_seed)
+
+
 def _parse_name(token: str) -> tuple[str, int] | None:
     """(family label, r) for a code named like eh7 or panchenko8, else None."""
     m = _NAMED_CODE.match(token)
-    return (_FAMILIES[m.group(1).lower()], int(m.group(2))) if m else None
+    if not m:
+        return None
+    try:
+        r = int(m.group(2))
+    except ValueError:  # past the interpreter's limit on digits
+        raise PreconditionError(f"{m.group(1)}<{len(m.group(2))}-digit r>: too many digits to read") from None
+    return _FAMILIES[m.group(1).lower()], r
 
 
 def _build(family: str, r: int) -> Code:
@@ -216,20 +238,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
 # erasure
 # ---------------------------------------------------------------------------
 
+# (CSV header, sidecar key) per column of an erasure table
 _ERASURE_COLUMNS = [
-    "rho",
-    "total",
-    "psi",
-    "psi_tilde",
-    "s_exact_or_estimate",
-    "ci_halfwidth",
-    "delta_lower",
-    "delta_tilde",
-    "delta_tilde_2",
-    "delta_exact_or_estimate",
-    "delta_entropy_bound",
-    "delta_weak_bound",
-    "method",
+    ("rho", "rho"), ("total", "total"), ("psi", "psi"), ("psi_tilde", "psi_tilde"),
+    ("s_exact_or_estimate", "s_exact_or_estimate"), ("ci_halfwidth", "ci_halfwidth"),
+    ("delta_lower", "delta_lower"), ("delta_tilde", "delta_tilde"), ("delta_tilde_2", "delta_tilde_2"),
+    ("delta_exact_or_estimate", "delta_exact_or_estimate"),
+    ("delta_entropy_bound", "entropy_bound"), ("delta_weak_bound", "weak_bound"), ("method", "method"),
 ]
 
 
@@ -253,8 +268,10 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
     shortened = trailing_shortening_provider(code)
     # a matrix file's full length was walked already, for its distance
     provider = shortened if walked is None else (lambda m: walked if m == code.spec.n else shortened(m))
-    reports = [
-        erasure_report(
+    digits = args.digits
+    rows = []
+    for rho in range(args.rho_min, args.rho_max + 1):
+        rep = erasure_report(
             code,
             rho,
             method=method,
@@ -264,52 +281,26 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
             recursion_depth=args.recursive,
             provider=provider,
         )
-        for rho in range(args.rho_min, args.rho_max + 1)
-    ]
-
-    rows = []
-    rows_json = []
-    for rep in reports:
         s_val = rep.s_exact_or_estimate
-        rows.append(
-            [
-                rep.rho,
-                rep.total,
-                rep.psi,
-                rep.psi_tilde,
-                (str(s_val) if s_val is not None and s_val.denominator == 1
-                 else _fmt(s_val, args.digits)),
-                _fmt(rep.ci_halfwidth, args.digits),
-                _fmt(rep.delta_lower, args.digits),
-                _fmt(rep.delta_tilde, args.digits),
-                _fmt(rep.delta_tilde_2, args.digits),
-                _fmt(rep.delta_exact_or_estimate, args.digits),
-                _fmt(rep.entropy_bound, args.digits),
-                _fmt(rep.weak_bound, args.digits),
-                rep.method,
-            ]
-        )
-        rows_json.append(
-            {
-                "rho": rep.rho,
-                "total": str(rep.total),
-                "psi": str(rep.psi),
-                "psi_tilde": str(rep.psi_tilde),
-                "s_exact_or_estimate": _exact(s_val),
-                "ci_halfwidth": rep.ci_halfwidth,
-                "delta_lower": _exact(rep.delta_lower),
-                "delta_tilde": _exact(rep.delta_tilde),
-                "delta_tilde_2": _exact(rep.delta_tilde_2),
-                "delta_exact_or_estimate": _exact(rep.delta_exact_or_estimate),
-                "entropy_bound": rep.entropy_bound,
-                "weak_bound": rep.weak_bound,
-                "method": rep.method,
-            }
-        )
-
-    sidecar = {"code": code.spec.to_json(), "digits": args.digits, "rows": rows_json}
-    _emit(args, _csv(_ERASURE_COLUMNS, rows), sidecar, inputs, args.seed)
-    print(f"wrote {len(reports)} erasure rows to {args.out}")
+        s_cell = str(s_val) if s_val is not None and s_val.denominator == 1 else _fmt(s_val, digits)
+        rows.append([
+            (rep.rho, rep.rho),
+            (rep.total, str(rep.total)),
+            (rep.psi, str(rep.psi)),
+            (rep.psi_tilde, str(rep.psi_tilde)),
+            (s_cell, _exact(s_val)),
+            (_fmt(rep.ci_halfwidth, digits), rep.ci_halfwidth),
+            (_fmt(rep.delta_lower, digits), _exact(rep.delta_lower)),
+            (_fmt(rep.delta_tilde, digits), _exact(rep.delta_tilde)),
+            (_fmt(rep.delta_tilde_2, digits), _exact(rep.delta_tilde_2)),
+            (_fmt(rep.delta_exact_or_estimate, digits), _exact(rep.delta_exact_or_estimate)),
+            (_fmt(rep.entropy_bound, digits), rep.entropy_bound),
+            (_fmt(rep.weak_bound, digits), rep.weak_bound),
+            (rep.method, rep.method),
+        ])
+    sidecar = {"code": code.spec.to_json(), "digits": digits}
+    _emit_table(args, _ERASURE_COLUMNS, rows, sidecar, inputs, args.seed)
+    print(f"wrote {len(rows)} erasure rows to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +308,16 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _simulate(args: argparse.Namespace, pc: ProductCode, p: float, d_plus: int) -> SimResult:
+    """failure_probability at (p, d_plus), with the trials, seed, strategy
+    and strata settings of simulate or table --which 2."""
+    cfg = SimConfig(p=p, d_plus=d_plus, trials=args.trials, master_seed=args.seed,
+                    strategy="stratified" if args.stratified else "plain")
+    return failure_probability(pc, cfg, per_stratum=args.per_stratum, k_max=args.kmax)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    cfg = SimConfig(
-        p=args.p,
-        d_plus=args.dplus,
-        trials=args.trials,
-        master_seed=args.seed,
-        strategy="stratified" if args.stratified else "plain",
-    )
-    res = failure_probability(
-        default_product_code(),
-        cfg,
-        per_stratum=args.per_stratum,
-        k_max=args.kmax,
-    )
+    res = _simulate(args, default_product_code(), args.p, args.dplus)
     payload = res.to_json()
     del payload["master_seed"]  # the manifest records it
     _emit(args, _json(payload), master_seed=args.seed)
@@ -343,6 +330,18 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
+
+# (CSV header, sidecar key) per column of Table 1 and of Table 2
+_TABLE1_COLUMNS = [
+    ("code", "code"), ("r", "r"), ("n", "n"), ("rho", "rho"), ("method", "method"),
+    ("value", "value"), ("reference", "reference"), ("deviation", "deviation"),
+]
+_TABLE2_COLUMNS = [
+    ("p", "p"), ("d_plus", "d_plus"), ("method", "method"), ("trials", "trials"),
+    ("failures", "failures"), ("estimate", "estimate"), ("ci95", "ci95"),
+    ("tail_bound", "tail_bound"), ("reference", "reference"), ("deviation", "deviation"),
+]
+
 
 def _parse_list(text: str, cast) -> list:
     try:
@@ -364,94 +363,53 @@ def _table1_codes(tokens: list[str]) -> list[tuple[str, Code]]:
 def _cmd_table(args: argparse.Namespace) -> None:
     if args.digits < 0:
         raise PreconditionError("--digits must be >= 0")
+    digits = args.digits
     if args.which == 1:
         codes = _table1_codes(_parse_list(args.codes, str) if args.codes else [])
         rhos = tuple(_parse_list(args.rhos, int))
-        cells = table1(
-            codes,
-            rhos,
-            exact_limit=args.exact_limit,
-            samples=args.samples,
-            master_seed=args.seed,
-        )
-        rows = []
-        rows_json = []
-        for cell in cells:
-            rows.append(
-                [
-                    cell.label,
-                    cell.r,
-                    cell.n,
-                    cell.rho,
-                    cell.report.method,
-                    _fmt(cell.value, args.digits),
-                    cell.reference or "",
-                    _fmt(cell.deviation, args.digits) if cell.deviation is not None else "",
-                ]
-            )
-            rows_json.append(
-                {
-                    "code": cell.label,
-                    "r": cell.r,
-                    "n": cell.n,
-                    "rho": cell.rho,
-                    "method": cell.report.method,
-                    "value": _exact(cell.value),
-                    "reference": cell.reference,
-                    "deviation": cell.deviation,
-                }
-            )
-        header = ["code", "r", "n", "rho", "method", "value", "reference", "deviation"]
-        _emit(args, _csv(header, rows), {"table": 1, "rows": rows_json}, master_seed=args.seed)
+        cells = table1(codes, rhos, exact_limit=args.exact_limit, samples=args.samples,
+                       master_seed=args.seed)
+        rows = [
+            [
+                (cell.label, cell.label),
+                (cell.r, cell.r),
+                (cell.n, cell.n),
+                (cell.rho, cell.rho),
+                (cell.report.method, cell.report.method),
+                (_fmt(cell.value, digits), _exact(cell.value)),
+                (cell.reference or "", cell.reference),
+                (_fmt(cell.deviation, digits), cell.deviation),
+            ]
+            for cell in cells
+        ]
+        _emit_table(args, _TABLE1_COLUMNS, rows, {"table": 1}, master_seed=args.seed)
         print(f"wrote {len(cells)} benchmark cells to {args.out}")
         return
 
     ps = _parse_list(args.p, float)
     dplus = _parse_list(args.dplus, int)
-    strategy = "stratified" if args.stratified else "plain"
     pc = default_product_code()
     rows = []
-    rows_json = []
     for p in ps:
         for dp in dplus:
-            cfg = SimConfig(p=p, d_plus=dp, trials=args.trials,
-                            master_seed=args.seed, strategy=strategy)
-            res = failure_probability(pc, cfg, per_stratum=args.per_stratum,
-                                      k_max=args.kmax)
+            res = _simulate(args, pc, p, dp)
+            estimate = float(res.estimate)
             ref = TABLE2_REFERENCE.get((p, dp))
-            deviation = float(res.estimate) - float(ref) if ref is not None else None
-            rows.append(
-                [
-                    repr(p),
-                    dp,
-                    res.strategy,
-                    res.trials,
-                    res.failures,
-                    f"{float(res.estimate):.{args.digits}g}",
-                    f"{res.ci95:.{args.digits}g}",
-                    "" if res.tail_bound is None else f"{res.tail_bound:.{args.digits}g}",
-                    ref or "",
-                    "" if deviation is None else f"{deviation:.{args.digits}g}",
-                ]
-            )
-            rows_json.append(
-                {
-                    "p": p,
-                    "d_plus": dp,
-                    "method": res.strategy,
-                    "trials": res.trials,
-                    "failures": res.failures,
-                    "estimate": float(res.estimate),
-                    "ci95": res.ci95,
-                    "tail_bound": res.tail_bound,
-                    "reference": ref,
-                    "deviation": deviation,
-                }
-            )
-    header = ["p", "d_plus", "method", "trials", "failures", "estimate",
-              "ci95", "tail_bound", "reference", "deviation"]
-    _emit(args, _csv(header, rows), {"table": 2, "rows": rows_json}, master_seed=args.seed)
-    print(f"wrote {len(rows_json)} simulation cells to {args.out}")
+            deviation = estimate - float(ref) if ref is not None else None
+            rows.append([
+                (repr(p), p),
+                (dp, dp),
+                (res.strategy, res.strategy),
+                (res.trials, res.trials),
+                (res.failures, res.failures),
+                (f"{estimate:.{digits}g}", estimate),
+                (f"{res.ci95:.{digits}g}", res.ci95),
+                ("" if res.tail_bound is None else f"{res.tail_bound:.{digits}g}", res.tail_bound),
+                (ref or "", ref),
+                ("" if deviation is None else f"{deviation:.{digits}g}", deviation),
+            ])
+    _emit_table(args, _TABLE2_COLUMNS, rows, {"table": 2}, master_seed=args.seed)
+    print(f"wrote {len(rows)} simulation cells to {args.out}")
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def general_qp(r: int, g: int, seed_code: Code) -> Code:
     """Doubling chain from a [2^g+1, 2^g+1-(g+2), 4] seed up to redundancy r."""
     if r < 5:
         raise PreconditionError("general_qp needs r >= 5")
-    if g not in admissible_g(r):
+    if g != 0 and not 2 <= g <= r - 3:  # admissible_g(r), without listing it
         raise PreconditionError(f"g={g} not in admissible set for r={r} (g=1 excluded)")
     if seed_code.spec.r != g + 2 or seed_code.spec.n != (1 << g) + 1:
         raise PreconditionError(

@@ -27,7 +27,7 @@ as arrays and run through decode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -469,18 +469,7 @@ class SimResult:
     tail_bound: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "d_plus": self.d_plus,
-            "trials": self.trials,
-            "failures": self.failures,
-            "miscorrections": self.miscorrections,
-            "estimate": float(self.estimate),
-            "ci95": self.ci95,
-            "strategy": self.strategy,
-            "master_seed": self.master_seed,
-            "tail_bound": self.tail_bound,
-        }
+        return {**asdict(self), "estimate": float(self.estimate)}
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self.to_json().items())

@@ -264,6 +264,18 @@ def test_table2_stratified_dense_cell(tmp_path):
     assert "estimate=" in repr(res)
 
 
+@pytest.mark.parametrize("which, grid, header", [
+    (1, ["--codes", "eh5", "--rhos", ""], "code,r,n,rho,method,value,reference,deviation"),
+    (2, ["--p", ""], "p,d_plus,method,trials,failures,estimate,ci95,tail_bound,reference,deviation"),
+])
+def test_empty_grid_writes_header_and_no_rows(tmp_path, which, grid, header):
+    out = tmp_path / "t.csv"
+    assert main(["table", "--which", str(which), *grid, "--out", str(out)]) == 0
+    assert out.read_bytes() == header.encode() + b"\r\n"
+    sidecar = Path(str(out) + ".json").read_bytes()
+    assert sidecar == b'{\n  "table": %d,\n  "rows": []\n}\n' % which
+
+
 def test_every_command_emits_manifest(tmp_path):
     out = tmp_path / "pan5.txt"
     main(["construct", "--family", "panchenko", "--r", "5", "--out", str(out)])

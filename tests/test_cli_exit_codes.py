@@ -79,6 +79,9 @@ BAD = {
     "erasure-zero-samples": (["erasure", "--code", "pan5", "--rho-min", "4", "--rho-max", "4", "--sample", "0", "--out", "e.csv"], {}),
     # rho above rank(H) needs no sampling, but the request is refused all the same
     "erasure-zero-samples-above-rank": (["erasure", "--code", "pan5", "--rho-min", "8", "--rho-max", "8", "--sample", "0", "--out", "e.csv"], {}),
+    # r past the interpreter's 4,300-digit limit on int()
+    "spectrum-name-too-long": (["spectrum", "--code", "pan" + "9" * 5000, "--out", "s.json"], {}),
+    "table-name-too-long": (["table", "--which", "1", "--codes", "eh" + "9" * 5000, "--out", "t.csv"], {}),
 }
 
 

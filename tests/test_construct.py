@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -158,9 +159,23 @@ def test_general_qp_matches_named_constructions():
     assert (c.spec.n, c.dimension(), c.spec.d) == (18, 12, 4)
 
 
+def test_panchenko_past_the_cap_is_refused_in_little_memory():
+    # g is checked before any doubling, in memory that does not grow with r
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            panchenko(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_general_qp_rejects_bad_parameters():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="admissible"):
         general_qp(6, 1, seed("S"))  # g=1 excluded
+    with pytest.raises(PreconditionError, match="admissible"):
+        general_qp(5, 3, seed("example_9_5"))  # g = r-2, though the seed fits g=3
     with pytest.raises(PreconditionError):
         general_qp(6, 4, seed("S"))  # g > r-3
     with pytest.raises(PreconditionError):
