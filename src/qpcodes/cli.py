@@ -220,16 +220,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
     code, inputs, walked = _resolve_code(args.code)
     if args.method == "oracle":
         ws = walked if walked is not None else oracle_spectrum(code)
-    elif args.method == "recursion":
+    else:  # never emit anything on mismatch
         ws = spectrum_by_doubling(code)
-    else:  # both: never emit anything on mismatch
-        by_recursion = spectrum_by_doubling(code)
-        by_oracle = walked if walked is not None else oracle_spectrum(code)
-        if by_recursion != by_oracle:
+        if walked is None and args.method == "both":
+            walked = oracle_spectrum(code)
+        # a matrix file's spectrum is walked already, so its sidecar's lineage
+        # is checked against it under --method recursion too
+        if walked is not None and ws != walked:
             raise ConsistencyError(
                 "recursion and oracle spectra disagree; refusing to write output"
             )
-        ws = by_oracle
     _emit(args, _json(ws.to_json(), sort_keys=True), inputs=inputs)
     print(f"wrote spectrum of [{ws.n},{ws.dimension}] code to {args.out}")
 

@@ -31,6 +31,19 @@ __all__ = [
 ]
 
 _ORACLE_RANK_BUDGET = 26
+# bits in the spectrum either route builds, (n + 1) counts of at most k + 1
+# bits: 2^32 (512 MiB) holds eh17 and pan17, whose oracle spectra take under
+# half a GiB, and refuses eh18 (2 GiB) and eh19 (8 GiB)
+_SPECTRUM_BITS_BUDGET = 1 << 32
+
+
+def _check_spectrum_budget(n: int, k: int) -> None:
+    """Refuse, before any work, a length-n dimension-k spectrum past the budget."""
+    if (n + 1) * (k + 1) > _SPECTRUM_BITS_BUDGET:
+        raise BudgetError(
+            f"spectrum of a [{n},{k}] code needs up to {(n + 1) * (k + 1)} bits, "
+            f"over the 2^{_SPECTRUM_BITS_BUDGET.bit_length() - 1}-bit budget"
+        )
 
 
 def comb0(a: int, b: int) -> int:
@@ -108,17 +121,26 @@ def double_spectrum_step(s: WeightSpectrum) -> WeightSpectrum:
                 f"input spectrum has A_{w} = {s.counts[w]} != 0; "
                 "the doubling recursion requires minimum weight >= 4"
             )
+    # Each sum, less D_v, is sum_w 2^(w-1) A_w z^(w//2) (1+z)^(half-w), z = x^2,
+    # over the w >= 4 of the output's parity. It is taken by Horner in (1+z) on
+    # one int whose slot u of 8*nb bits holds the coefficient of z^u, that is
+    # out[2u + parity]. Every slot is a partial sum of nonnegative terms of one
+    # output count, itself at most the doubled total, so no slot carries.
+    nb = (s.total << (half - 1)).bit_length() // 8 + 1
+    slot = 8 * nb
     out = [0] * (2 * half + 1)
+    for parity in (0, 1):
+        packed = 0
+        for w, a in enumerate(s.counts):
+            packed += packed << slot
+            if a and w >= 4 and w % 2 == parity:
+                packed += a << (w - 1 + slot * (w // 2))
+        raw = packed.to_bytes((half + 1 - parity) * nb, "little")
+        del packed  # else it, its bytes and the counts below are all live at once
+        out[parity::2] = [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+        del raw
     for v in range(0, half + 1, 2):
-        out[2 * v] = math.comb(half, v)  # D_v, the A_0 term
-    # both sums in one pass: A_w feeds out[w + 2j] with 2^(w-1) C(half-w, j)
-    for w, a in s.nonzero_items():
-        if w < 4:
-            continue
-        c = 1
-        for j in range(half - w + 1):
-            out[w + 2 * j] += (a << (w - 1)) * c
-            c = c * (half - w - j) // (j + 1)
+        out[2 * v] += math.comb(half, v)  # D_v, the A_0 term
     result = WeightSpectrum(2 * half, tuple(out))
     # word count must grow by exactly 2^(half-1): dimension k -> k + half - 1
     if result.total != s.total << (half - 1):
@@ -165,6 +187,7 @@ def row_space_spectrum(h: BitMatrix) -> WeightSpectrum:
 
 def spectrum_of_matrix(h: BitMatrix) -> WeightSpectrum:
     """Primal spectrum of the code {x : Hx = 0}: dual enumeration + MacWilliams."""
+    _check_spectrum_budget(h.cols, h.cols - h.rank())
     dual = row_space_spectrum(h)
     return macwilliams(dual, dual.dimension)
 
@@ -184,6 +207,7 @@ def spectrum_by_doubling(c: Code) -> WeightSpectrum:
         raise PreconditionError("code has no seed lineage; only the oracle route applies")
     if lin.shortened:
         raise PreconditionError("shortened codes have no doubling recursion; use the oracle")
+    _check_spectrum_budget(c.spec.n, c.dimension())
     base = seed(lin.seed)
     steps = lin.doublings - base.spec.lineage.doublings
     if steps < 0:

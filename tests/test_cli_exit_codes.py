@@ -2,7 +2,9 @@
 a real process: the exit code is always a documented one and stderr never
 carries a traceback. Inputs the CLI must refuse exit 2 with one line."""
 
+import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -16,13 +18,16 @@ DOCUMENTED = {0, 2, 3, 4}
 P_GRID = ["1e-1", "1e-2", "5e-3", "1e-3", "5e-4"]
 
 
-def run(tmp_path, argv, env=None, timeout=120):
+def run(tmp_path, argv, env=None, timeout=120, max_bytes=None):
+    """max_bytes caps the child's address space, so a run that should have
+    been refused fails with MemoryError instead of filling the host."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     full_env = dict(os.environ, PYTHONPATH=path, QPCODES_THREADS="1", OPENBLAS_NUM_THREADS="1")
     full_env.update(env or {})
+    cap = None if max_bytes is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run(
         [sys.executable, "-m", "qpcodes.cli", *argv],
-        cwd=tmp_path, env=full_env, capture_output=True, text=True, timeout=timeout,
+        cwd=tmp_path, env=full_env, capture_output=True, text=True, timeout=timeout, preexec_fn=cap,
     )
 
 
@@ -110,3 +115,33 @@ def test_malformed_sidecar_exits_2_with_one_line(tmp_path, sidecar):
     assert res.returncode == 2
     assert len(res.stderr.splitlines()) == 1, res.stderr
     assert "sidecar" in res.stderr
+
+
+def test_recursion_checks_a_file_against_its_walked_spectrum(tmp_path):
+    # a shortened eh7 carrying pan7's sidecar: same length and distance, but the
+    # recursion would follow pan7's lineage to pan7's spectrum (A_4 = 1190)
+    shortened = ["construct", "--family", "eh", "--r", "7", "--shorten", "24", "--out", "e.txt"]
+    assert run(tmp_path, shortened).returncode == 0
+    assert run(tmp_path, ["construct", "--family", "panchenko", "--r", "7", "--out", "pan7.txt"]).returncode == 0
+    (tmp_path / "e.txt.json").write_bytes((tmp_path / "pan7.txt.json").read_bytes())
+    for method in ("recursion", "both"):
+        res = run(tmp_path, ["spectrum", "--code", "e.txt", "--method", method, "--out", "s.json"])
+        assert res.returncode == 3, res.stderr
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert not (tmp_path / "s.json").exists()
+    res = run(tmp_path, ["spectrum", "--code", "e.txt", "--method", "oracle", "--out", "s.json"])
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "s.json").read_text())["counts"]["4"] == "1702"
+    res = run(tmp_path, ["spectrum", "--code", "pan7.txt", "--method", "recursion", "--out", "p.json"])
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "p.json").read_text())["counts"]["4"] == "1190"
+
+
+@pytest.mark.parametrize("method", ["oracle", "recursion", "both"])
+def test_spectrum_past_the_budget_exits_4_quickly(tmp_path, method):
+    # eh19 fits the 2^18-column cap, but its spectrum would take about 8 GiB
+    argv = ["spectrum", "--code", "eh19", "--method", method, "--out", "s.json"]
+    res = run(tmp_path, argv, timeout=10, max_bytes=1 << 30)
+    assert res.returncode == 4, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert not list(tmp_path.iterdir())

@@ -1,7 +1,13 @@
 import random
+import resource
+import signal
+import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpcodes.construct import (
     Code,
@@ -13,7 +19,7 @@ from qpcodes.construct import (
     seed,
     shorten,
 )
-from qpcodes.errors import ConsistencyError, PreconditionError
+from qpcodes.errors import BudgetError, ConsistencyError, PreconditionError
 from qpcodes.gf2 import BitMatrix
 from qpcodes.spectrum import (
     WeightSpectrum,
@@ -129,8 +135,8 @@ def test_frozen_small_spectra():
 
 
 def test_doubling_recursion_equals_oracle_across_family():
-    codes = [extended_hamming(r) for r in range(3, 11)]
-    codes += [panchenko(r) for r in range(5, 11)]
+    codes = [extended_hamming(r) for r in range(3, 12)]
+    codes += [panchenko(r) for r in range(5, 14)]
     codes += [general_qp(r, 3, seed("example_9_5")) for r in range(6, 11)]
     for code in codes:
         assert spectrum_by_doubling(code) == oracle_spectrum(code)
@@ -158,6 +164,49 @@ def test_extended_hamming_64_values():
 def test_doubling_step_dimension_bookkeeping():
     s = oracle_spectrum(panchenko(8))
     assert (s.n, s.dimension) == (80, 72)
+
+
+def explicit_doubling(s: WeightSpectrum) -> WeightSpectrum:
+    # reference: the two sums of double_spectrum_step's docstring, term by term
+    half = s.n
+
+    def a(w):
+        return s.counts[w] if w <= half else 0
+
+    out = [0] * (2 * half + 1)
+    for v in range(half + 1):
+        d_v = comb0(half, v) if v % 2 == 0 else 0
+        out[2 * v] = d_v + sum(
+            2 ** (2 * v - 2 * j - 1) * a(2 * v - 2 * j) * comb0(half - 2 * v + 2 * j, j)
+            for j in range(v - 1)
+        )
+        if v < half:
+            out[2 * v + 1] = sum(
+                2 ** (2 * v - 2 * j) * a(2 * v + 1 - 2 * j) * comb0(half - 2 * v - 1 + 2 * j, j)
+                for j in range(v - 1)
+            )
+    return WeightSpectrum(2 * half, tuple(out))
+
+
+@st.composite
+def half_spectra(draw):
+    """A_0 = 1, A_1..3 = 0, and A_w up to 2^64 above; in the skewed case one
+    weight holds nearly all of the total, so its output count fills the slot
+    the packed recursion sizes from the doubled total."""
+    half = draw(st.integers(1, 40))
+    skewed = half >= 4 and draw(st.booleans())
+    high = draw(st.lists(st.integers(0, 3 if skewed else 2**64),
+                         min_size=max(half - 3, 0), max_size=max(half - 3, 0)))
+    counts = ([1, 0, 0, 0] + high)[: half + 1]
+    if skewed:
+        counts[draw(st.integers(4, half))] = draw(st.integers(2**60, 2**64))
+    return WeightSpectrum(half, tuple(counts))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(s=half_spectra())
+def test_doubling_step_equals_the_explicit_sums(s):
+    assert double_spectrum_step(s) == explicit_doubling(s)
 
 
 def test_doubling_step_refuses_low_weight():
@@ -220,3 +269,43 @@ def test_spectrum_by_doubling_refuses_off_family_codes():
     bare = Code(CodeSpec(4, 1, 2, Lineage()), BitMatrix((0b1111,), 4))
     with pytest.raises(PreconditionError):
         spectrum_by_doubling(bare)
+
+
+@contextmanager
+def work_ceiling(extra_bytes: int, seconds: float):
+    """Cap this process's address space a little above its size now, and its
+    time, so a route that starts work it should have refused fails fast
+    instead of filling or holding the host."""
+    with open("/proc/self/statm") as f:
+        size = int(f.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra_bytes if hard == resource.RLIM_INFINITY else min(size + extra_bytes, hard)
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("route", [oracle_spectrum, spectrum_by_doubling])
+@pytest.mark.parametrize("r", [18, 19])
+def test_spectrum_past_the_budget_is_refused_in_little_memory(route, r):
+    # eh18 and eh19 are under the length cap, but their spectra would take
+    # about 2 and 8 GiB
+    code = extended_hamming(r)
+    tracemalloc.start()
+    try:
+        with work_ceiling(512 * 2**20, 5), pytest.raises(BudgetError, match="budget"):
+            route(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
