@@ -17,7 +17,11 @@ uniform u of a trial's stream inverts to a geometric gap
 floor(log1p(-u) / log1p(-p)) + 1, so a trial of 5,184 bits reads about
 5,184 p + 1 uniforms, and the uniforms of a whole chunk of trials come
 from one array computation (rng.stream_uniforms), not a Python call per
-trial. A chunk of trials is kept as the (trial, position) pairs of its
+trial. The stratified estimator puts exactly k errors in each trial of
+stratum k, where numpy's choice(bits, k, replace=False) would put them;
+it runs choice's own Floyd algorithm on the raw words of a whole run of
+trials' streams (rng.stream_words), one array step for all trials at a
+time. A chunk of trials is kept as the (trial, position) pairs of its
 errors, and is classified in one batch pass over the row and column
 syndromes those positions make. Only the routed trials with a
 silent line, the only ones that can end in a miscorrection, are laid out
@@ -39,7 +43,7 @@ from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
 from .gf2 import gf2_basis, independent_words
 from .rng import (
-    DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, derive_streams, stream_uniforms, thread_map,
+    DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, stream_uniforms, stream_words, thread_map,
 )
 
 __all__ = [
@@ -71,11 +75,13 @@ _SUCCESS, _DETECTED, _MISCORRECTION = 0, 1, 2
 _CHUNK_TRIALS = 1024
 # a plain chunk buffers at most about this many uniforms, however high p is
 _CHUNK_UNIFORMS = 1 << 17
-# trials that a run of neighbouring strata classifies in one batch: one call
-# per stratum spends its time on per-call overhead when per_stratum is small,
-# and high-k strata hold up to twice a plain trial's errors, so a run is kept
-# to a quarter of a plain chunk
-_STRATA_RUN_TRIALS = 256
+# trials that a run of neighbouring strata draws and classifies in one batch,
+# as many as a plain chunk: the draw's Philox pass and Floyd steps cost a
+# few hundred array operations per run, whatever its size
+_STRATA_RUN_TRIALS = 1024
+# Generator.choice(n, k, replace=False) runs Floyd's algorithm when n is at
+# most this, or k <= n // 50; otherwise it shuffles the tail of arange(n)
+_FLOYD_POPULATION = 10_000
 # strata with P(K=k) below this are dropped; their mass is the tail bound
 _EPS_TAIL = 1e-12
 # an erasure table has one entry per packed syndrome, 2^rows in all
@@ -561,20 +567,76 @@ def _binomial_weights(bits: int, p: float, eps_tail: float, k_max: int | None) -
     return kept, denom
 
 
+def _floyd_picks(
+    bits: int, errors: np.ndarray, master_seed: int, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(picks, replay) for trials that choose errors[t] of bits positions,
+    errors sorted ascending. Row t of picks holds, in its first errors[t]
+    entries, the set that Generator.choice(bits, errors[t], replace=False)
+    draws from trial t's stream, derive_stream(master_seed,
+    DOMAIN_SIM_STRATA, indices[t]). replay lists the trials left for
+    choice itself.
+
+    For a population of at most _FLOYD_POPULATION, or k <= bits // 50,
+    choice runs Floyd's algorithm: for s = 0, ..., k - 1 it takes
+    j = bits - k + s, draws val uniform on 0..j, and picks j if val was
+    picked before, else val. A draw is Lemire's: m = h * (j + 1) for the
+    stream's next 32-bit half h (low half of each word first), val = m >> 32,
+    redrawn when m mod 2^32 < (2^32 - 1 - j) mod (j + 1). Here every
+    trial takes step s at once, on arrays. Only k = bits meets j = 0, for
+    which choice reads no half; such a trial reads its halves one step
+    early here, but picks every position whatever they hold. A trial that
+    meets a redraw (at most (j + 1) / 2^32 per step), or one with k past
+    the Floyd regime, where choice shuffles the tail of arange(bits)
+    instead, is listed in replay.
+    """
+    cap = bits if bits <= _FLOYD_POPULATION else bits // 50
+    floyd = errors[:int(np.searchsorted(errors, cap, side="right"))]
+    steps = int(floyd.max(initial=0))
+    words = stream_words(master_seed, DOMAIN_SIM_STRATA, indices[:floyd.size], -(-steps // 8))
+    halves = words.astype("<u8", copy=False).view("<u4")
+    picks = np.zeros((errors.size, errors.max(initial=0)), dtype=np.min_scalar_type(bits - 1))
+    redrawn = np.zeros(floyd.size, dtype=bool)
+    # bit p % 8 of byte p // 8 of row t: trial t has picked position p
+    row = bits // 8 + 1
+    seen = np.zeros(floyd.size * row, dtype=np.uint8)
+    base = np.arange(floyd.size) * row
+    # the trials from live on have k > step
+    for step, live in enumerate(np.searchsorted(floyd, np.arange(steps), side="right").tolist()):
+        j = bits - floyd[live:] + step
+        m = halves[live:, step] * (j + 1).view(np.uint64)
+        val = (m >> np.uint64(32)).view(np.int64)
+        redrawn[live:] |= (m & 0xFFFFFFFF).view(np.int64) < (0xFFFFFFFF - j) % (j + 1)
+        pick = np.where(seen[base[live:] + (val >> 3)] >> (val & 7) & 1, j, val)
+        seen[base[live:] + (pick >> 3)] |= (1 << (pick & 7)).astype(np.uint8)
+        picks[live:floyd.size, step] = pick
+    return picks, np.concatenate([np.flatnonzero(redrawn), np.arange(floyd.size, errors.size)])
+
+
+def _stratum_errors(
+    bits: int, master_seed: int, per_stratum: int, ks: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, position) of every error of per_stratum trials in each
+    stratum of ks in turn, ks ascending. Trial t of stratum k draws from
+    the stream derive_stream(master_seed, DOMAIN_SIM_STRATA, k << 32 | t)
+    and puts its k errors where that stream's choice(bits, k,
+    replace=False) falls. The raw words of every trial's stream come from
+    one array pass; only a trial that _floyd_picks replays calls choice."""
+    errors = np.repeat(ks, per_stratum)
+    trials = np.tile(np.arange(per_stratum, dtype=np.uint64), len(ks))
+    indices = errors.astype(np.uint64) << np.uint64(32) | trials
+    picks, replay = _floyd_picks(bits, errors, master_seed, indices)
+    for t in replay.tolist():
+        k = int(errors[t])
+        picks[t, :k] = derive_stream(master_seed, DOMAIN_SIM_STRATA, int(indices[t])).choice(bits, k, replace=False)
+    return np.repeat(np.arange(errors.size), errors), picks[np.arange(picks.shape[1]) < errors[:, None]]
+
+
 def _stratum_outcomes(pc: ProductCode, cfg: SimConfig, per_stratum: int, *ks: int) -> np.ndarray:
     """Outcome codes of per_stratum trials in each stratum of ks in turn,
-    classified in one batch. Trial t of stratum k puts its k errors where
-    its own stream's choice of k positions falls."""
-    errors = np.repeat(ks, per_stratum)
-    ends = np.cumsum(errors)
-    pos = np.empty(int(ends[-1]), dtype=np.int64)
-    indices = ((k << 32) | t for k in ks for t in range(per_stratum))
-    streams = derive_streams(cfg.master_seed, DOMAIN_SIM_STRATA, indices)
-    for end, k, rng in zip(ends.tolist(), errors.tolist(), streams):
-        if k > 0:
-            pos[end - k:end] = rng.choice(pc.bits, size=k, replace=False)
-    trial = np.repeat(np.arange(errors.size), errors)
-    return _classify_batch(pc, errors.size, trial, pos, cfg.d_plus)
+    classified in one batch."""
+    trial, pos = _stratum_errors(pc.bits, cfg.master_seed, per_stratum, list(ks))
+    return _classify_batch(pc, len(ks) * per_stratum, trial, pos, cfg.d_plus)
 
 
 def _stratified_failure(

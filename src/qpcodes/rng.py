@@ -4,13 +4,11 @@ Every Monte Carlo consumer draws from Philox streams keyed by (master_seed,
 domain, index): the erasure sampler one per work chunk, the product-code
 simulator one per trial. The key alone fixes a stream, so the random
 numbers an index sees depend only on the seed and the index, never on
-scheduling or on how indices are grouped into chunks. derive_streams
-serves a run of indices from one Philox whose state it resets to a fresh
-one under each index's key, which yields the same draws as derive_stream
-without building a generator each time. stream_uniforms computes the first
-uniforms of a run of indices' streams at once, on numpy arrays, for the
-draws that are plain uniforms. thread_map is the one place chunks meet
-threads.
+scheduling or on how indices are grouped into chunks. stream_words
+computes the first raw 64-bit words of many indices' streams at once, on
+numpy arrays, and stream_uniforms maps them to the uniforms random()
+would give; the simulator reads its draws from these rather than from a
+generator per index. thread_map is the one place chunks meet threads.
 """
 
 from __future__ import annotations
@@ -50,25 +48,6 @@ def derive_stream(master_seed: int, domain: int, index: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def derive_streams(
-    master_seed: int, domain: int, indices: Iterable[int]
-) -> Iterator[np.random.Generator]:
-    """For each index in turn, a generator whose draws equal those of
-    derive_stream(master_seed, domain, index).
-
-    The same generator is yielded every time, re-keyed in place, so each
-    one is valid only until the next is yielded.
-    """
-    bit_gen = np.random.Philox(0)
-    # the state of a new Philox: counter 0, empty buffer, no spare half-word
-    state = bit_gen.state
-    gen = np.random.Generator(bit_gen)
-    for index in indices:
-        state["state"]["key"] = _key(master_seed, domain, index)
-        bit_gen.state = state
-        yield gen
-
-
 # Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it: round
 # multipliers and the Weyl increments that bump the key between rounds
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -99,29 +78,27 @@ def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, t1: np.ndarray, t2: np.ndarr
     hi += t1
 
 
-def stream_uniforms(master_seed: int, domain: int, indices: range, count: int) -> np.ndarray:
-    """(len(indices), count) array whose row i equals
-    derive_stream(master_seed, domain, indices[i]).random(count).
+def stream_words(master_seed: int, domain: int, indices: np.ndarray, blocks: int) -> np.ndarray:
+    """(len(indices), 4 * blocks) uint64 array whose row i equals
+    np.random.Philox(key=[master_seed, domain << 56 | indices[i]]).random_raw(4 * blocks),
+    the words behind derive_stream(master_seed, domain, indices[i]).
 
-    A new Philox turns counter c = 1, 2, ... into four 64-bit words each,
-    and random() maps a word w to (w >> 11) / 2^53. Here that runs for
-    every index at once, on whole-array numpy operations, rather than a
-    generator per index: the work is a few hundred array operations that
-    run without the GIL, not a Python call per index, so threads drawing
-    side by side do not wait on one another.
+    A new Philox turns counter c = 1, 2, ... into four 64-bit words each.
+    Here that runs for every index at once, on whole-array numpy
+    operations, rather than a generator per index: the work is a few
+    hundred array operations that run without the GIL, not a Python call
+    per index, so threads drawing side by side do not wait on one another.
     """
-    if len(indices):
-        _key(master_seed, domain, indices[0])
-        _key(master_seed, domain, indices[-1])
-    blocks = -(-count // 4)
-    shape = (len(indices), blocks)
+    indices = np.asarray(indices, dtype=np.uint64)
+    if indices.size:
+        _key(master_seed, domain, int(indices.min()))
+        _key(master_seed, domain, int(indices.max()))
+    shape = (indices.size, blocks)
     # the four counter words of every block, two high words and two scratch
     c0, c1, c2, c3, h0, h1, t1, t2 = np.zeros((8, *shape), dtype=np.uint64)
     c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
     k0 = master_seed
-    k1 = np.uint64(domain << 56) | np.arange(
-        indices.start, indices.stop, indices.step, dtype=np.uint64
-    )[:, None]
+    k1 = np.uint64(domain << 56) | indices[:, None]
     for r in range(10):
         if r:
             # k0 is a Python int: a numpy scalar would warn when it wraps
@@ -136,11 +113,18 @@ def stream_uniforms(master_seed: int, domain: int, indices: range, count: int) -
         # the round's output is (h1, low of c2, h0, low of c0); the old c1
         # and c3 are free for the next round's high words
         c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c3, c1
-    out = np.empty((*shape, 4))
-    for j, word in enumerate((c0, c1, c2, c3)):
-        word >>= np.uint64(11)
-        np.multiply(word, 1.0 / (1 << 53), out=out[:, :, j])
-    return out.reshape(len(indices), 4 * blocks)[:, :count]
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(indices.size, 4 * blocks)
+
+
+def stream_uniforms(master_seed: int, domain: int, indices: range, count: int) -> np.ndarray:
+    """(len(indices), count) array whose row i equals
+    derive_stream(master_seed, domain, indices[i]).random(count): random()
+    maps each raw word w to (w >> 11) / 2^53."""
+    words = stream_words(
+        master_seed, domain, np.arange(indices.start, indices.stop, indices.step), -(-count // 4)
+    )[:, :count]
+    words >>= np.uint64(11)
+    return np.multiply(words, 1.0 / (1 << 53))
 
 
 def thread_count(explicit: int | None = None) -> int:

@@ -35,6 +35,10 @@ _ORACLE_RANK_BUDGET = 26
 # bits: 2^32 (512 MiB) holds eh17 and pan17, whose oracle spectra take under
 # half a GiB, and refuses eh18 (2 GiB) and eh19 (8 GiB)
 _SPECTRUM_BITS_BUDGET = 1 << 32
+# work of a doubling chain to length n, taken as n^3: its last step, which
+# dominates, does about n/2 shift-adds on an int of about n^2 / 2 bits. 2^38
+# admits pan14 (n = 5,120, 5.3 s) and refuses pan15 (53.5 s) and eh14
+_DOUBLING_WORK_BUDGET = 1 << 38
 
 
 def _check_spectrum_budget(n: int, k: int) -> None:
@@ -208,6 +212,11 @@ def spectrum_by_doubling(c: Code) -> WeightSpectrum:
     if lin.shortened:
         raise PreconditionError("shortened codes have no doubling recursion; use the oracle")
     _check_spectrum_budget(c.spec.n, c.dimension())
+    if c.spec.n**3 > _DOUBLING_WORK_BUDGET:
+        raise BudgetError(
+            f"doubling recursion to length {c.spec.n} is over the 2^"
+            f"{_DOUBLING_WORK_BUDGET.bit_length() - 1} work budget (n^3); the oracle route applies"
+        )
     base = seed(lin.seed)
     steps = lin.doublings - base.spec.lineage.doublings
     if steps < 0:

@@ -145,3 +145,15 @@ def test_spectrum_past_the_budget_exits_4_quickly(tmp_path, method):
     assert res.returncode == 4, res.stderr
     assert len(res.stderr.splitlines()) == 1, res.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("code,method", [("pan15", "recursion"), ("pan15", "both"), ("eh14", "recursion")])
+def test_doubling_past_its_work_budget_exits_4_quickly(tmp_path, code, method):
+    # within the bit budget, but the chain would run for minutes (pan15) or
+    # longer; the oracle spectrum of pan15 takes well under a second
+    argv = ["spectrum", "--code", code, "--method", method, "--out", "s.json"]
+    res = run(tmp_path, argv, timeout=10, max_bytes=1 << 30)
+    assert res.returncode == 4, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert "work budget" in res.stderr
+    assert not list(tmp_path.iterdir())

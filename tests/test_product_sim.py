@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpcodes import cli, product_sim
-from qpcodes.construct import Code, CodeSpec
+from qpcodes.construct import Code, CodeSpec, panchenko
 from qpcodes.errors import PreconditionError
 from qpcodes.gf2 import BitMatrix
 from qpcodes.product_sim import (
@@ -23,6 +23,8 @@ from qpcodes.product_sim import (
     _erasure_table,
     _fill_lines,
     _flip_positions,
+    _floyd_picks,
+    _stratum_errors,
     _stratum_outcomes,
     _syndromes,
     channel,
@@ -31,7 +33,7 @@ from qpcodes.product_sim import (
     encode,
     failure_probability,
 )
-from qpcodes.rng import DOMAIN_SIM_TRIALS, derive_stream, stream_uniforms
+from qpcodes.rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, stream_uniforms
 
 PC = default_product_code()
 ZERO = np.zeros((PC.n_col, PC.n_row), dtype=np.uint8)
@@ -571,6 +573,50 @@ def test_stratified_matches_plain():
     assert gap < 3 * joint
     assert strat.tail_bound is not None and strat.tail_bound < 1e-9
     assert strat.trials % 200 == 0
+
+
+def assert_draw_is_choice(bits, seed, per_stratum, ks, only=None):
+    """Every trial's error set is the one numpy's choice draws from its stream."""
+    trial, pos = _stratum_errors(bits, seed, per_stratum, ks)
+    for t, k in enumerate(np.repeat(ks, per_stratum).tolist()):
+        if only is None or t in only:
+            want = derive_stream(seed, DOMAIN_SIM_STRATA, (k << 32) | t % per_stratum).choice(bits, k, replace=False)
+            got = pos[trial == t]
+            assert got.size == k and set(got.tolist()) == set(want.tolist()), (bits, k, t)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_stratum_draw_equals_choice(seed):
+    # numpy's Floyd regime: every k up to the whole population of 5,184 bits
+    assert_draw_is_choice(PC.bits, seed, 5, [0, 1, 3, 6, 20, 52, 120, 5184])
+    for bits in (1, 2, 7, 100):
+        assert_draw_is_choice(bits, seed, 4, sorted({0, 1, bits - 1, bits}))
+
+
+def test_stratum_draw_replays_a_rejected_draw():
+    # trial 5877 of stratum 120 under seed 0 meets a Lemire rejection (found
+    # by a scan of 120,000 trials): its array draw is set aside and replayed
+    _, replay = _floyd_picks(PC.bits, np.array([120]), 0, np.array([(120 << 32) | 5877], dtype=np.uint64))
+    assert replay.tolist() == [0]
+    assert_draw_is_choice(PC.bits, 0, 5878, [120], only={5876, 5877})
+
+
+def test_stratum_draw_past_floyd_regime_falls_back_to_choice():
+    # 25,600 bits: choice shuffles the tail of arange(bits) once k > 25600 // 50
+    pc = ProductCode(panchenko(9), panchenko(9))
+    errors = np.repeat([512, 513, 600], 2)
+    _, replay = _floyd_picks(pc.bits, errors, 3, np.arange(errors.size, dtype=np.uint64))
+    assert replay.tolist() == [2, 3, 4, 5]
+    assert_draw_is_choice(pc.bits, 3, 2, [512, 513, 600])
+
+
+def test_stratified_does_not_depend_on_run_size(monkeypatch):
+    cfg = SimConfig(p=5e-3, d_plus=4, trials=1, master_seed=9, strategy="stratified")
+    base = failure_probability(PC, cfg, per_stratum=7)
+    for run in (1, 4096):
+        monkeypatch.setattr(product_sim, "_STRATA_RUN_TRIALS", run)
+        res = failure_probability(PC, cfg, per_stratum=7)
+        assert (res.failures, res.miscorrections, res.estimate) == (base.failures, base.miscorrections, base.estimate)
 
 
 def test_stratified_is_deterministic():

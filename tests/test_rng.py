@@ -10,8 +10,8 @@ from qpcodes.rng import (
     DOMAIN_SIM_STRATA,
     DOMAIN_SIM_TRIALS,
     derive_stream,
-    derive_streams,
     stream_uniforms,
+    stream_words,
     thread_count,
     thread_map,
 )
@@ -52,39 +52,26 @@ def test_seeds_past_2_63_keep_their_streams_apart():
     assert len(set(firsts)) == len(firsts)
 
 
-def _draws(gen) -> list:
-    """Draws through every path the simulator and sampler use. An odd
-    count of uint32 draws leaves a buffered half-word; the last of them
-    does, and the doubles after it stop part-way through the four-word
-    Philox buffer, so the generator is not left in a fresh state."""
-    out = [
-        gen.integers(0, 1000, size=3, dtype=np.uint32),
-        gen.choice(5184, size=8, replace=False),
-        gen.random(3),
-        gen.integers(0, 2**40, size=4, dtype=np.int64),
-        gen.integers(0, 2**32 - 1, size=5, dtype=np.uint32),
-        gen.random(2),
-    ]
-    return [a.tolist() for a in out]
-
-
 @pytest.mark.parametrize("seed", [0, 33, 2**63 - 1, 2**63 + 5, 2**64 - 1])
-def test_rekeyed_streams_equal_fresh_ones(seed):
+def test_raw_words_equal_philox_random_raw(seed):
+    indices = [0, 7, (5 << 32) | 3, (1 << 56) - 1]
     for domain in (DOMAIN_ERASURE_SAMPLING, DOMAIN_SIM_TRIALS, DOMAIN_SIM_STRATA, 255):
-        indices = [0, 1, 2, 7, (5 << 32) | 3, (1 << 56) - 1]
-        for index, gen in zip(indices, derive_streams(seed, domain, indices), strict=True):
-            assert _draws(gen) == _draws(derive_stream(seed, domain, index))
-            state = gen.bit_generator.state
-            assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+        for blocks in (0, 1, 3):
+            # the key words wrap past 2^64 as they are bumped, warning-free
+            with np.errstate(all="raise"):
+                got = stream_words(seed, domain, np.array(indices, dtype=np.uint64), blocks)
+            assert got.dtype == np.uint64 and got.shape == (len(indices), 4 * blocks)
+            for row, index in zip(got, indices):
+                key = np.array([seed, (domain << 56) | index], dtype=np.uint64)
+                assert np.array_equal(row, np.random.Philox(key=key).random_raw(4 * blocks))
+    assert stream_words(seed, DOMAIN_SIM_STRATA, np.array([], dtype=np.uint64), 2).shape == (0, 8)
 
 
-def test_rekeyed_streams_validate_each_index():
-    streams = derive_streams(1, DOMAIN_SIM_TRIALS, [0, 1 << 56])
-    next(streams)
+def test_raw_words_validate_their_keys():
     with pytest.raises(PreconditionError):
-        next(streams)
+        stream_words(1, DOMAIN_SIM_STRATA, np.array([0, 1 << 56], dtype=np.uint64), 1)
     with pytest.raises(PreconditionError):
-        next(derive_streams(1 << 64, DOMAIN_SIM_TRIALS, [0]))
+        stream_words(1 << 64, DOMAIN_SIM_STRATA, np.array([0], dtype=np.uint64), 1)
 
 
 @pytest.mark.parametrize("seed", [0, 33, 2**63 - 1, 2**63 + 5, 2**64 - 1])

@@ -309,3 +309,10 @@ def test_spectrum_past_the_budget_is_refused_in_little_memory(route, r):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("code", [panchenko(15), extended_hamming(14)], ids=["pan15", "eh14"])
+def test_doubling_past_its_work_budget_is_refused(code):
+    # the bit budget admits both, but the chain would run for minutes or more
+    with work_ceiling(512 * 2**20, 5), pytest.raises(BudgetError, match="work budget"):
+        spectrum_by_doubling(code)
