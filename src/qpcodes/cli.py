@@ -503,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -9,23 +9,29 @@ A trial therefore ends in exactly one of three states: success, detected
 failure (decoder knows it lost), or miscorrection (clean syndromes, wrong
 array; visible only against the transmitted ground truth).
 
-Decoding is translation invariant, so the Monte Carlo drivers simulate the
-zero array and classify outcomes from the error pattern alone; the unit
+Each component H is kept once, as its column words (bit i = row i); a
+line's syndrome is the XOR of the words of the positions it holds, in
+decode and encode as in the batch classifier.
+
+Decoding is translation invariant, so the Monte Carlo run simulates the
+zero array and classifies outcomes from the error pattern alone; the unit
 tests check the invariance against encoded random payloads. The channel
 draws the gaps between flipped bits rather than one uniform per bit: each
 uniform u of a trial's stream inverts to a geometric gap
 floor(log1p(-u) / log1p(-p)) + 1, so a trial of 5,184 bits reads about
-5,184 p + 1 uniforms, and the uniforms of a whole chunk of trials come
-from one array computation (rng.stream_uniforms), not a Python call per
-trial. The stratified estimator puts exactly k errors in each trial of
-stratum k, where numpy's choice(bits, k, replace=False) would put them;
-it runs choice's own Floyd algorithm on the raw words of a whole run of
-trials' streams (rng.stream_words), one array step for all trials at a
-time. A chunk of trials is kept as the (trial, position) pairs of its
-errors, and is classified in one batch pass over the row and column
-syndromes those positions make. Only the routed trials with a
-silent line, the only ones that can end in a miscorrection, are laid out
-as arrays and run through decode.
+5,184 p + 1 uniforms, and the uniforms of a whole chunk of trials, and of
+its few trials drawn again in full, come from one array computation each
+(rng.stream_uniforms), not a Python call per trial. The stratified draw
+puts exactly k errors in each trial of stratum k, where numpy's
+choice(bits, k, replace=False) would put them; it runs choice's own Floyd
+algorithm on the raw words of a whole run of trials' streams
+(rng.stream_words), one array step for all trials at a time. A chunk of
+trials is kept as the (trial, position) pairs of its errors, and is
+classified in one batch pass over the row and column syndromes those
+positions make. Only the routed trials with a silent line, the only ones
+that can end in a miscorrection, are laid out as arrays and run through
+decode. One run loop and one estimator serve both strategies: plain is the
+stratified estimator on a single stratum of weight 1.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -72,13 +77,12 @@ TABLE2_REFERENCE: dict[tuple[float, int], str] = {
 }
 
 _SUCCESS, _DETECTED, _MISCORRECTION = 0, 1, 2
+# trials that one job draws and classifies in one batch: a plain chunk, or a
+# run of neighbouring strata, whose Philox pass and Floyd steps cost a few
+# hundred array operations whatever the run's size
 _CHUNK_TRIALS = 1024
 # a plain chunk buffers at most about this many uniforms, however high p is
 _CHUNK_UNIFORMS = 1 << 17
-# trials that a run of neighbouring strata draws and classifies in one batch,
-# as many as a plain chunk: the draw's Philox pass and Floyd steps cost a
-# few hundred array operations per run, whatever its size
-_STRATA_RUN_TRIALS = 1024
 # Generator.choice(n, k, replace=False) runs Floyd's algorithm when n is at
 # most this, or k <= n // 50; otherwise it shuffles the tail of arange(n)
 _FLOYD_POPULATION = 10_000
@@ -86,11 +90,6 @@ _FLOYD_POPULATION = 10_000
 _EPS_TAIL = 1e-12
 # an erasure table has one entry per packed syndrome, 2^rows in all
 _MAX_ROWS = 16
-
-
-def _h_array(cols: list[int], nrows: int) -> np.ndarray:
-    """H as a (rows, n) uint8 array, from its column ints (bit i = row i)."""
-    return (np.array(cols)[None, :] >> np.arange(nrows)[:, None] & 1).astype(np.uint8)
 
 
 def _parity_positions(cols: list[int]) -> tuple[list[int], list[int]]:
@@ -107,26 +106,27 @@ def _parity_positions(cols: list[int]) -> tuple[list[int], list[int]]:
     return parity, [j for j in range(len(cols)) if j not in parity]
 
 
-def _syndromes(lines: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Packed syndrome of every line along the last axis; bit i is H row i.
-
-    One float32 matmul: 0/1 entries and line sums below 2^24, so the
-    products are exact integers before the reduction mod 2.
-    """
-    bits = (lines.astype(np.float32) @ h.T.astype(np.float32)).astype(np.int64) & 1
-    return bits @ (1 << np.arange(h.shape[0]))
+def _syndromes(lines: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Packed syndrome of every 0/1 line along the last axis: the XOR of
+    the column words (bit i = H row i) of the positions the line holds."""
+    return np.bitwise_xor.reduce(lines * words, axis=-1)
 
 
-def _erasure_table(h: np.ndarray, erased: list[int]) -> np.ndarray | None:
+def _erasure_table(words: np.ndarray, erased: list[int]) -> np.ndarray | None:
     """Index of the filling that produces each packed syndrome, -1 if none.
 
     Filling f puts bit t of f at position erased[t]. Two fillings share a
-    syndrome exactly when the erased columns of H are dependent; then
-    there is no unique refill and the result is None.
+    syndrome exactly when the erased column words of H are dependent; then
+    there is no unique refill and the result is None. Every word is below
+    2^rows, rows the largest word's bit length, so more erased columns than
+    rows are dependent without looking.
     """
+    rows = int(words.max(initial=0)).bit_length()
+    if len(erased) > rows:
+        return None
     fillings = np.arange(1 << len(erased))
-    syn = _syndromes(fillings[:, None] >> np.arange(len(erased)) & 1, h[:, erased])
-    table = np.full(1 << h.shape[0], -1)
+    syn = _syndromes(fillings[:, None] >> np.arange(len(erased)) & 1, words[erased])
+    table = np.full(1 << rows, -1)
     table[syn] = fillings
     return table if np.array_equal(table[syn], fillings) else None
 
@@ -149,8 +149,9 @@ class ProductCode:
         self.k_col = col_code.dimension()
         self.row_cols = row_code.H.column_ints()
         self.col_cols = col_code.H.column_ints()
-        self.h_row = _h_array(self.row_cols, row_code.H.nrows)
-        self.h_col = _h_array(self.col_cols, col_code.H.nrows)
+        # H as its column words; at most _MAX_ROWS = 16 rows fit uint16
+        self.row_words = np.asarray(self.row_cols, dtype=np.uint16)
+        self.col_words = np.asarray(self.col_cols, dtype=np.uint16)
         self.parity_row, self.info_row = _parity_positions(self.row_cols)
         self.parity_col, self.info_col = _parity_positions(self.col_cols)
 
@@ -194,19 +195,19 @@ class DecodeOutcome:
 
 
 def _fill_lines(
-    lines: np.ndarray, h: np.ndarray, erased: list[int], table: np.ndarray
+    lines: np.ndarray, words: np.ndarray, erased: list[int], table: np.ndarray
 ) -> np.ndarray:
     """Erase the listed positions in every line and refill them from the
     table; lines that no filling fits are left zero-filled for the recheck."""
     filled = lines.copy()
     filled[:, erased] = 0
-    f = np.maximum(table[_syndromes(filled, h)], 0)
+    f = np.maximum(table[_syndromes(filled, words)], 0)
     filled[:, erased] = f[:, None] >> np.arange(len(erased)) & 1
     return filled
 
 
 def _is_codeword(pc: ProductCode, arr: np.ndarray) -> bool:
-    return not (_syndromes(arr, pc.h_row).any() or _syndromes(arr.T, pc.h_col).any())
+    return not (_syndromes(arr, pc.row_words).any() or _syndromes(arr.T, pc.col_words).any())
 
 
 def encode(pc: ProductCode, payload: np.ndarray) -> np.ndarray:
@@ -217,8 +218,8 @@ def encode(pc: ProductCode, payload: np.ndarray) -> np.ndarray:
         raise PreconditionError(f"payload must be {pc.k_col}x{pc.k_row}")
     arr = np.zeros((pc.n_col, pc.n_row), dtype=np.uint8)
     arr[np.ix_(pc.info_col, pc.info_row)] = payload
-    arr = _fill_lines(arr, pc.h_row, pc.parity_row, _erasure_table(pc.h_row, pc.parity_row))
-    arr = _fill_lines(arr.T, pc.h_col, pc.parity_col, _erasure_table(pc.h_col, pc.parity_col)).T
+    arr = _fill_lines(arr, pc.row_words, pc.parity_row, _erasure_table(pc.row_words, pc.parity_row))
+    arr = _fill_lines(arr.T, pc.col_words, pc.parity_col, _erasure_table(pc.col_words, pc.parity_col)).T
     if not _is_codeword(pc, arr):
         raise PreconditionError("systematic encoding produced an invalid array")
     return arr
@@ -249,17 +250,14 @@ def _gap_ends(u: np.ndarray, bits: int, p: float) -> np.ndarray:
 
 
 def _flip_positions(
-    draw: Callable[[int], np.ndarray],
-    size: int,
-    bits: int,
-    p: float,
-    replay: Callable[[int], np.random.Generator],
+    draw: Callable[[int, np.ndarray], np.ndarray], size: int, bits: int, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(trial, position) of every flip when each of the bits bits of size
     trials flips independently with probability p, 0 < p <= 1.
 
-    draw(m) returns the first m uniforms of every trial's stream as a
-    (size, m) array, which is then overwritten. A trial reads its
+    draw(m, rows) returns the first m uniforms of the stream of each trial
+    in rows (indices below size) as a (len(rows), m) array, which is then
+    overwritten. A trial reads its
     uniforms u_1, u_2, ... in order and inverts each to the gap
     g_i = floor(log1p(-u_i) / log1p(-p)) + 1 to its next flip (Devroye,
     Non-Uniform Random Variate Generation, 1986, ch. X.2): it flips
@@ -267,20 +265,20 @@ def _flip_positions(
     bits * p + 1 uniforms rather than bits. The positions depend on the
     uniforms alone, not on how many are buffered: a trial whose buffered
     gaps end before bits is drawn again, bits uniforms from the start of
-    the generator replay(t) returns.
+    its stream.
     """
     narrow = np.min_scalar_type(bits - 1)
     if p == 1.0:
         # log1p(-1) is -inf: every gap is 1
         return np.repeat(np.arange(size), bits), np.tile(np.arange(bits, dtype=narrow), size)
-    ends = _gap_ends(draw(_uniforms_per_trial(bits, p)), bits, p)
+    ends = _gap_ends(draw(_uniforms_per_trial(bits, p), np.arange(size)), bits, p)
     short = np.flatnonzero(ends[:, -1] < bits)
     flipped = ends <= bits
     flipped[short] = False
     trial, i = np.nonzero(flipped)
     pos = ends[trial, i]
     if short.size:
-        full = _gap_ends(np.stack([replay(t).random(bits) for t in short]), bits, p)
+        full = _gap_ends(draw(bits, short), bits, p)
         again, i = np.nonzero(full <= bits)
         trial = np.concatenate([trial, short[again]])
         pos = np.concatenate([pos, full[again, i]])
@@ -295,8 +293,9 @@ def channel(arr: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
     inverted to the geometric gap floor(log1p(-u) / log1p(-p)) + 1 before
     the next flipped bit, so about arr.size * p + 1 of them are drawn. This
     is the plain simulator's channel (_flip_positions): given a trial's
-    stream, channel flips the bits that trial flips. A draw that falls
-    short is made again from rng's state at the call.
+    stream, channel flips the bits that trial flips. Each draw starts from
+    rng's state at the call, so a draw that falls short is made again from
+    the same uniforms.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("p must be in [0, 1]")
@@ -304,11 +303,11 @@ def channel(arr: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
         return arr.copy()
     state = rng.bit_generator.state
 
-    def replay(_: int) -> np.random.Generator:
+    def draw(m: int, rows: np.ndarray) -> np.ndarray:
         rng.bit_generator.state = state
-        return rng
+        return rng.random((len(rows), m))
 
-    _, pos = _flip_positions(lambda m: rng.random((1, m)), 1, arr.size, p, replay)
+    _, pos = _flip_positions(draw, 1, arr.size, p)
     flips = np.zeros(arr.size, dtype=np.uint8)
     flips[pos] = 1
     return arr ^ flips.reshape(arr.shape)
@@ -332,23 +331,22 @@ def decode(
     if d_plus < 1:
         raise PreconditionError("d_plus must be >= 1")
 
-    r_star = np.flatnonzero(_syndromes(received, pc.h_row)).tolist()
-    c_star = np.flatnonzero(_syndromes(received.T, pc.h_col)).tolist()
+    r_star = np.flatnonzero(_syndromes(received, pc.row_words)).tolist()
+    c_star = np.flatnonzero(_syndromes(received.T, pc.col_words)).tolist()
 
-    def table(star: list[int], h: np.ndarray) -> np.ndarray | None:
-        # more columns than H has rows are dependent without looking
-        return _erasure_table(h, star) if len(star) <= min(d_plus, h.shape[0]) else None
+    def table(star: list[int], words: np.ndarray) -> np.ndarray | None:
+        return _erasure_table(words, star) if len(star) <= d_plus else None
 
     filled = received
     via = "none"
     weight = 0
-    if (col_table := table(c_star, pc.h_row)) is not None:
+    if (col_table := table(c_star, pc.row_words)) is not None:
         if c_star:
-            filled = _fill_lines(received, pc.h_row, c_star, col_table)
+            filled = _fill_lines(received, pc.row_words, c_star, col_table)
             via, weight = "columns", len(c_star)
-    elif (row_table := table(r_star, pc.h_col)) is not None:
+    elif (row_table := table(r_star, pc.col_words)) is not None:
         if r_star:
-            filled = _fill_lines(received.T, pc.h_col, r_star, row_table).T
+            filled = _fill_lines(received.T, pc.col_words, r_star, row_table).T
             via, weight = "rows", len(r_star)
     else:
         return DecodeOutcome("detected_failure", "none", min(len(c_star), len(r_star)))
@@ -415,14 +413,11 @@ def _classify_batch(
     the one way to a miscorrection, are laid out as arrays and run the
     full per-trial decode.
     """
-    # a component H has at most _MAX_ROWS = 16 rows, so syndromes fit uint16
-    row_words = np.asarray(pc.row_cols, dtype=np.uint16)
-    col_words = np.asarray(pc.col_cols, dtype=np.uint16)
     row, col = np.divmod(pos, pc.n_row)
-    row_flag, row_hit = _line_states(trial, row, row_words[col], size, pc.n_col)
-    col_flag, col_hit = _line_states(trial, col, col_words[row], size, pc.n_row)
-    by_cols = _erasable(col_flag, row_words, min(d_plus, pc.h_row.shape[0]))
-    routed = by_cols | _erasable(row_flag, col_words, min(d_plus, pc.h_col.shape[0]))
+    row_flag, row_hit = _line_states(trial, row, pc.row_words[col], size, pc.n_col)
+    col_flag, col_hit = _line_states(trial, col, pc.col_words[row], size, pc.n_row)
+    by_cols = _erasable(col_flag, pc.row_words, min(d_plus, pc.row_code.H.nrows))
+    routed = by_cols | _erasable(row_flag, pc.col_words, min(d_plus, pc.col_code.H.nrows))
     silent = np.where(
         by_cols, (col_hit & ~col_flag).any(axis=1), (row_hit & ~row_flag).any(axis=1)
     )
@@ -447,13 +442,11 @@ def _chunk_plan(trials: int, bits: int, p: float) -> list[tuple[int, int]]:
 def _plain_chunk(pc: ProductCode, cfg: SimConfig, chunk: tuple[int, int]) -> np.ndarray:
     start, size = chunk
     # trial t flips the row-major positions the geometric gaps of its own
-    # stream give, as in channel; the streams of the whole chunk are drawn
-    # in one array pass, and a short draw is redone on a fresh stream
-    trials = range(start, start + size)
+    # stream give, as in channel; the streams of the whole chunk, and of
+    # its short trials after them, are each drawn in one array pass
     trial, pos = _flip_positions(
-        lambda m: stream_uniforms(cfg.master_seed, DOMAIN_SIM_TRIALS, trials, m),
+        lambda m, rows: stream_uniforms(cfg.master_seed, DOMAIN_SIM_TRIALS, start + rows, m),
         size, pc.bits, cfg.p,
-        lambda t: derive_stream(cfg.master_seed, DOMAIN_SIM_TRIALS, start + t),
     )
     return _classify_batch(pc, size, trial, pos, cfg.d_plus)
 
@@ -482,11 +475,6 @@ class SimResult:
         return f"SimResult({fields})"
 
 
-def _wald_halfwidth(successes: int, total: int) -> float:
-    p = (successes + 1) / (total + 2)
-    return 1.96 * math.sqrt(p * (1.0 - p) / total)
-
-
 def failure_probability(
     pc: ProductCode,
     cfg: SimConfig,
@@ -505,32 +493,51 @@ def failure_probability(
     with exact rational weights; strata with P(K=k) < _EPS_TAIL (1e-12) or
     k > k_max are dropped and their total mass is reported as tail_bound (an upper bound on the
     truncation error). per_stratum trials are spent in each kept stratum.
+
+    Both run one estimator: a stratum of weight w with f failures in its n
+    trials adds w f / n to the estimate and w^2 q (1 - q) / n, with
+    q = (f + 1) / (n + 2), to its variance. Plain is the one stratum of
+    weight 1 that holds all cfg.trials trials.
     """
     if cfg.strategy == "plain":
-        return _plain_failure(pc, cfg, threads)
-    return _stratified_failure(pc, cfg, per_stratum, k_max, threads)
+        weights, denom, n = {0: 1}, 1, cfg.trials
+        # at p = 0 the channel is the identity: every trial is the same clean success
+        jobs = [] if cfg.p == 0.0 else _chunk_plan(cfg.trials, pc.bits, cfg.p)
 
+        def work(chunk: tuple[int, int]) -> tuple[list[int], np.ndarray]:
+            return [0], _plain_chunk(pc, cfg, chunk)
+    else:
+        if per_stratum < 1:
+            raise PreconditionError("per_stratum must be >= 1")
+        weights, denom = _binomial_weights(pc.bits, cfg.p, _EPS_TAIL, k_max)
+        if not weights:
+            raise PreconditionError(f"every stratum has P(K=k) < {_EPS_TAIL} or k > k_max; raise k_max")
+        ks, n = sorted(weights), per_stratum
+        run = max(1, _CHUNK_TRIALS // n)
+        jobs = [ks[i:i + run] for i in range(0, len(ks), run)]
 
-def _plain_failure(pc: ProductCode, cfg: SimConfig, threads: int | None) -> SimResult:
-    if cfg.p == 0.0:
-        # the channel is the identity: every trial is the same clean success
-        return SimResult(
-            p=cfg.p, d_plus=cfg.d_plus, trials=cfg.trials, failures=0,
-            miscorrections=0, estimate=Fraction(0), ci95=_wald_halfwidth(0, cfg.trials),
-            strategy="plain", master_seed=cfg.master_seed,
-        )
-    chunks = _chunk_plan(cfg.trials, pc.bits, cfg.p)
-    failures = 0
+        def work(run_ks: list[int]) -> tuple[list[int], np.ndarray]:
+            return run_ks, _stratum_outcomes(pc, cfg, n, *run_ks)
+    failures = dict.fromkeys(weights, 0)
     mis = 0
-    with thread_map(partial(_plain_chunk, pc, cfg), chunks, threads) as parts:
-        for codes in parts:
-            failures += int(np.count_nonzero(codes != _SUCCESS))
+    # each part's codes are counted as it arrives, one row per stratum
+    with thread_map(work, jobs, threads) as parts:
+        for run_ks, codes in parts:
+            for k, row in zip(run_ks, codes.reshape(len(run_ks), -1)):
+                failures[k] += int(np.count_nonzero(row != _SUCCESS))
             mis += int(np.count_nonzero(codes == _MISCORRECTION))
+    numerator = 0  # of the estimate, over denom * n
+    variance = 0.0
+    for k, f in failures.items():
+        numerator += weights[k] * f
+        q = (f + 1) / (n + 2)
+        # int / int is correctly rounded, as float(Fraction) is
+        variance += (weights[k] / denom) ** 2 * q * (1.0 - q) / n
     return SimResult(
-        p=cfg.p, d_plus=cfg.d_plus, trials=cfg.trials, failures=failures,
-        miscorrections=mis, estimate=Fraction(failures, cfg.trials),
-        ci95=_wald_halfwidth(failures, cfg.trials), strategy="plain",
-        master_seed=cfg.master_seed,
+        p=cfg.p, d_plus=cfg.d_plus, trials=n * len(weights), failures=sum(failures.values()),
+        miscorrections=mis, estimate=Fraction(numerator, denom * n),
+        ci95=1.96 * math.sqrt(variance), strategy=cfg.strategy, master_seed=cfg.master_seed,
+        tail_bound=None if cfg.strategy == "plain" else (denom - sum(weights.values())) / denom,
     )
 
 
@@ -637,43 +644,3 @@ def _stratum_outcomes(pc: ProductCode, cfg: SimConfig, per_stratum: int, *ks: in
     classified in one batch."""
     trial, pos = _stratum_errors(pc.bits, cfg.master_seed, per_stratum, list(ks))
     return _classify_batch(pc, len(ks) * per_stratum, trial, pos, cfg.d_plus)
-
-
-def _stratified_failure(
-    pc: ProductCode,
-    cfg: SimConfig,
-    per_stratum: int,
-    k_max: int | None,
-    threads: int | None,
-) -> SimResult:
-    if per_stratum < 1:
-        raise PreconditionError("per_stratum must be >= 1")
-    weights, denom = _binomial_weights(pc.bits, cfg.p, _EPS_TAIL, k_max)
-    if not weights:
-        raise PreconditionError(f"every stratum has P(K=k) < {_EPS_TAIL} or k > k_max; raise k_max")
-    ks = sorted(weights)
-    run = max(1, _STRATA_RUN_TRIALS // per_stratum)
-    with thread_map(
-        lambda run_ks: _stratum_outcomes(pc, cfg, per_stratum, *run_ks),
-        [ks[i:i + run] for i in range(0, len(ks), run)],
-        threads,
-    ) as parts:
-        outcomes = np.concatenate(list(parts)).reshape(len(ks), per_stratum)
-    numerator = 0  # of the estimate, over denom * per_stratum
-    variance = 0.0
-    failures = 0
-    mis = 0
-    for k, codes in zip(ks, outcomes):
-        f = int(np.count_nonzero(codes != _SUCCESS))
-        failures += f
-        mis += int(np.count_nonzero(codes == _MISCORRECTION))
-        numerator += weights[k] * f
-        ptilde = (f + 1) / (per_stratum + 2)
-        # int / int is correctly rounded, as float(Fraction) is
-        variance += (weights[k] / denom) ** 2 * ptilde * (1.0 - ptilde) / per_stratum
-    return SimResult(
-        p=cfg.p, d_plus=cfg.d_plus, trials=per_stratum * len(ks), failures=failures,
-        miscorrections=mis, estimate=Fraction(numerator, denom * per_stratum),
-        ci95=1.96 * math.sqrt(variance), strategy="stratified",
-        master_seed=cfg.master_seed, tail_bound=(denom - sum(weights.values())) / denom,
-    )

@@ -6,9 +6,10 @@ simulator one per trial. The key alone fixes a stream, so the random
 numbers an index sees depend only on the seed and the index, never on
 scheduling or on how indices are grouped into chunks. stream_words
 computes the first raw 64-bit words of many indices' streams at once, on
-numpy arrays, and stream_uniforms maps them to the uniforms random()
-would give; the simulator reads its draws from these rather than from a
-generator per index. thread_map is the one place chunks meet threads.
+numpy arrays, for any sequence of indices, and stream_uniforms maps them
+to the uniforms random() would give; the simulator reads its draws from
+these rather than from a generator per index. thread_map is the one
+place chunks meet threads.
 """
 
 from __future__ import annotations
@@ -116,13 +117,12 @@ def stream_words(master_seed: int, domain: int, indices: np.ndarray, blocks: int
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(indices.size, 4 * blocks)
 
 
-def stream_uniforms(master_seed: int, domain: int, indices: range, count: int) -> np.ndarray:
+def stream_uniforms(master_seed: int, domain: int, indices: np.ndarray | range, count: int) -> np.ndarray:
     """(len(indices), count) array whose row i equals
-    derive_stream(master_seed, domain, indices[i]).random(count): random()
-    maps each raw word w to (w >> 11) / 2^53."""
-    words = stream_words(
-        master_seed, domain, np.arange(indices.start, indices.stop, indices.step), -(-count // 4)
-    )[:, :count]
+    derive_stream(master_seed, domain, indices[i]).random(count), for any
+    sequence of indices stream_words takes: random() maps each raw word w
+    to (w >> 11) / 2^53."""
+    words = stream_words(master_seed, domain, indices, -(-count // 4))[:, :count]
     words >>= np.uint64(11)
     return np.multiply(words, 1.0 / (1 << 53))
 

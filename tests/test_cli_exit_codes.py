@@ -147,6 +147,19 @@ def test_spectrum_past_the_budget_exits_4_quickly(tmp_path, method):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--trials", "1000000000000"],
+    ["--trials", "1", "--stratified", "--per-stratum", "1000000000000"],
+])
+def test_simulation_out_of_memory_exits_4_with_one_line(tmp_path, argv):
+    # the plain run's chunk list, or one stratum's error positions, outgrows memory
+    res = run(tmp_path, ["simulate", "--p", "1e-3", "--dplus", "4", *argv, "--out", "s.json"],
+              timeout=60, max_bytes=1 << 30)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr == "budget exceeded: out of memory\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("code,method", [("pan15", "recursion"), ("pan15", "both"), ("eh14", "recursion")])
 def test_doubling_past_its_work_budget_exits_4_quickly(tmp_path, code, method):
     # within the bit budget, but the chain would run for minutes (pan15) or

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,6 +38,9 @@ from qpcodes.rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, str
 
 PC = default_product_code()
 ZERO = np.zeros((PC.n_col, PC.n_row), dtype=np.uint8)
+# the same component with its columns reversed as the column code, so that
+# a classifier mixing up the row and column codes shows
+SKEW = ProductCode(PC.row_code, Code(PC.col_code.spec, PC.col_code.H.select_columns(range(71, -1, -1))))
 
 
 def dependent_quad(cols):
@@ -46,6 +50,11 @@ def dependent_quad(cols):
         for q in combinations(range(len(cols)), 4)
         if cols[q[0]] ^ cols[q[1]] ^ cols[q[2]] ^ cols[q[3]] == 0
     )
+
+
+def dense_h(words, nrows):
+    """H as a (rows, n) 0/1 array, from its column words (bit i = row i)."""
+    return np.asarray(words, dtype=np.int64)[None, :] >> np.arange(nrows)[:, None] & 1
 
 
 def random_codeword(seed):
@@ -66,8 +75,8 @@ def test_encode_is_systematic():
     payload, arr = random_codeword(3)
     assert arr.shape == (72, 72)
     assert np.array_equal(payload, arr[np.ix_(PC.info_col, PC.info_row)])
-    assert ((arr.astype(int) @ PC.h_row.T) % 2 == 0).all()
-    assert ((arr.T.astype(int) @ PC.h_col.T) % 2 == 0).all()
+    assert ((arr.astype(int) @ dense_h(PC.row_cols, 8).T) % 2 == 0).all()
+    assert ((arr.T.astype(int) @ dense_h(PC.col_cols, 8).T) % 2 == 0).all()
 
 
 def test_encode_digest_is_pinned():
@@ -79,27 +88,42 @@ def test_encode_digest_is_pinned():
     assert digest.hexdigest() == "b5d668c5c1ad604fadd840fef4240fcc89e40780da7537e655cc6780dafcd72f"
 
 
+def test_syndromes_match_parity_check_rows():
+    # bit i of a line's syndrome is the parity of the line's overlap with H row i
+    rng = np.random.default_rng(11)
+    lines = np.vstack([np.zeros(72), np.ones(72), rng.random((30, 72)) < 0.5]).astype(np.uint8)
+    for code, words in ((PC.row_code, PC.row_words), (PC.col_code, PC.col_words),
+                        (SKEW.row_code, SKEW.row_words), (SKEW.col_code, SKEW.col_words)):
+        want = []
+        for line in lines:
+            packed = sum(1 << j for j in np.flatnonzero(line).tolist())
+            want.append(sum((bin(row & packed).count("1") & 1) << i for i, row in enumerate(code.H.rows)))
+        assert _syndromes(lines, words).tolist() == want
+        assert _syndromes(lines.reshape(2, 16, 72), words).tolist() == [want[:16], want[16:]]
+
+
 def test_erasure_table_verdict_matches_brute_force():
-    h = PC.h_row
     rng = np.random.default_rng(3)
     subsets = [list(c) for k in range(4) for c in combinations(range(72), k)]
     subsets += [sorted(rng.choice(72, size=k, replace=False).tolist()) for k in range(4, 10) for _ in range(150)]
     lines = (rng.random((64, 72)) < 0.5).astype(np.uint8)
-    verdicts = set()
-    for t, idx in enumerate(subsets):
-        table = _erasure_table(h, idx)
-        independent = PC.row_code.H.columns_independent(idx)
-        assert (table is not None) == independent, idx
-        verdicts.add(independent)
-        if table is None or (t % 50 and len(idx) < 4):
-            continue
-        erased = lines.copy()
-        erased[:, idx] = 0
-        fits = table[_syndromes(erased, h)] >= 0
-        filled = _fill_lines(lines, h, idx, table)
-        assert not _syndromes(filled[fits], h).any()
-        assert not filled[np.ix_(~fits, idx)].any()
-    assert verdicts == {True, False}
+    for code, words in ((PC.row_code, PC.row_words), (SKEW.col_code, SKEW.col_words)):
+        h = dense_h(words, code.H.nrows)
+        verdicts = set()
+        for t, idx in enumerate(subsets):
+            table = _erasure_table(words, idx)
+            independent = code.H.columns_independent(idx)
+            assert (table is not None) == independent, idx
+            verdicts.add(independent)
+            if table is None or (t % 50 and len(idx) < 4):
+                continue
+            erased = lines.copy()
+            erased[:, idx] = 0
+            fits = table[erased @ h.T % 2 @ (1 << np.arange(len(h)))] >= 0
+            filled = _fill_lines(lines, words, idx, table)
+            assert not (filled[fits] @ h.T % 2).any()
+            assert not filled[np.ix_(~fits, idx)].any()
+        assert verdicts == {True, False}
 
 
 def _code_with_rows(r):
@@ -324,6 +348,20 @@ def test_worker_error_leaves_no_pool_thread(monkeypatch, strategy):
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
+def test_plain_memory_does_not_grow_with_trials():
+    # a chunk's arrays peak near 1.1 MB at p = 1e-3; keeping even one byte
+    # per trial until the end would add over 60 KB to the larger run
+    peaks = []
+    for trials in (4096, 65536):
+        tracemalloc.start()
+        try:
+            failure_probability(PC, SimConfig(p=1e-3, d_plus=4, trials=trials, master_seed=3), threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0], peaks
+
+
 def test_plain_counts_match_per_trial_decode():
     cfg = SimConfig(p=1.2e-3, d_plus=4, trials=100, master_seed=33)
     res = failure_probability(PC, cfg)
@@ -367,17 +405,14 @@ def test_plain_matches_closed_form(p, d_plus):
 def _flips(seed, trials, p):
     """Sorted (trial, position) pairs a plain chunk of trials draws, and how
     many trials were drawn again."""
-    replayed = []
+    drawn = []
 
-    def replay(t):
-        replayed.append(t)
-        return derive_stream(seed, DOMAIN_SIM_TRIALS, t)
+    def draw(m, rows):
+        drawn.append(len(rows))
+        return stream_uniforms(seed, DOMAIN_SIM_TRIALS, rows, m)
 
-    def draw(m):
-        return stream_uniforms(seed, DOMAIN_SIM_TRIALS, range(trials), m)
-
-    trial, pos = _flip_positions(draw, trials, PC.bits, p, replay)
-    return sorted(zip(trial.tolist(), pos.tolist())), len(replayed)
+    trial, pos = _flip_positions(draw, trials, PC.bits, p)
+    return sorted(zip(trial.tolist(), pos.tolist())), sum(drawn[1:])
 
 
 @pytest.mark.parametrize("p", [1e-3, 1e-2, 0.3])
@@ -507,9 +542,6 @@ def _random_quad(cols, rng):
 
 # fixed examples, no example database: the suite reads the same on every run
 PROPERTY = settings(max_examples=50, deadline=None, database=None, derandomize=True)
-# the same component with its columns reversed as the column code, so that
-# a classifier mixing up the row and column codes shows
-SKEW = ProductCode(PC.row_code, Code(PC.col_code.spec, PC.col_code.H.select_columns(range(71, -1, -1))))
 
 
 def test_batch_classifier_matches_per_trial_decode():
@@ -614,7 +646,7 @@ def test_stratified_does_not_depend_on_run_size(monkeypatch):
     cfg = SimConfig(p=5e-3, d_plus=4, trials=1, master_seed=9, strategy="stratified")
     base = failure_probability(PC, cfg, per_stratum=7)
     for run in (1, 4096):
-        monkeypatch.setattr(product_sim, "_STRATA_RUN_TRIALS", run)
+        monkeypatch.setattr(product_sim, "_CHUNK_TRIALS", run)
         res = failure_probability(PC, cfg, per_stratum=7)
         assert (res.failures, res.miscorrections, res.estimate) == (base.failures, base.miscorrections, base.estimate)
 

@@ -275,7 +275,9 @@ def test_spectrum_by_doubling_refuses_off_family_codes():
 def work_ceiling(extra_bytes: int, seconds: float):
     """Cap this process's address space a little above its size now, and its
     time, so a route that starts work it should have refused fails fast
-    instead of filling or holding the host."""
+    instead of filling or holding the host. An overrun fails the test with
+    one line: the alarm can land inside big-int code, whose traceback
+    pytest cannot format."""
     with open("/proc/self/statm") as f:
         size = int(f.read().split()[0]) * resource.getpagesize()
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
@@ -289,6 +291,8 @@ def work_ceiling(extra_bytes: int, seconds: float):
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError as exc:
+        pytest.fail(str(exc), pytrace=False)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
