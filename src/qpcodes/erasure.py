@@ -70,8 +70,9 @@ _SLICE = 1 << 22
 # samples per derived stream; part of the sampling plan, so changing it
 # changes every sampled estimate
 _SAMPLE_CHUNK = 1 << 20
-# subsets per kernel call: keeps the kernel's scratch arrays small next to
-# the chunk's draw, which peak memory already has to hold
+# rows per draw and per kernel call: bounds the draw, its indices and the
+# kernel's scratch arrays, so a chunk's memory does not grow with its size.
+# Not part of the sampling plan: the batches read one stream in order
 _HIT_BATCH = 1 << 16
 # subspaces per lattice slice: keeps each slice's span table small
 _LATTICE_SLICE = 1 << 12
@@ -304,8 +305,8 @@ def _summed(
     counter: Callable, parts, threads: int | None, progress: Callable[[int, int], None] | None
 ) -> int:
     """Sum of counter over parts on thread_map's workers; progress(done,
-    total) fires once per part. An integer sum, so any thread count gives
-    the same total."""
+    total) fires once per part, and needs len(parts). An integer sum, so
+    any thread count gives the same total."""
     out = 0
     with thread_map(counter, parts, threads) as counts:
         for done, count in enumerate(counts, 1):
@@ -413,29 +414,27 @@ class SampleEstimate:
 
 def _count_hits(cols: np.ndarray, idx: np.ndarray) -> int:
     """Columns of idx (rho, m) whose words in cols are independent."""
-    return int(np.count_nonzero(independent_words(cols[idx])))
+    return int(np.count_nonzero(independent_words(np.take(cols, idx))))
 
 
 def _sample_chunk(cols: np.ndarray, n: int, rho: int, master_seed: int, job: tuple[int, int]) -> int:
-    """Hits among one chunk's size rho-subsets. A drawn row that repeats an
-    index is redrawn; the kernel runs on it all the same and finds it
-    dependent, as the repeated word reduces to zero."""
+    """Hits among one chunk's size rho-subsets, drawn and counted in
+    batches of at most _HIT_BATCH rows. A row that repeats an index is
+    redrawn; the kernel finds it dependent all the same. For n <= 2^32 the
+    uint32 draw gives the int64 draw's rows (one 32-bit method, one
+    stream), and no batch asks for more rows than are missing, so every
+    batch size reads the same rows up to the same last one."""
     index, size = job
     rng = derive_stream(master_seed, DOMAIN_ERASURE_SAMPLING, index)
-    hits = 0
-    got = 0
+    hits = got = 0
     while got < size:
-        # the int64 draw is part of the stream plan; narrowing it at once
-        # frees it before the kernel runs and keeps the kernel's gathers small
-        idx = np.ascontiguousarray(
-            rng.integers(0, n, size=(size - got, rho), dtype=np.int64).T, dtype=np.min_scalar_type(n - 1)
-        )
+        draw = rng.integers(0, n, size=(min(size - got, _HIT_BATCH), rho), dtype=np.uint32)
+        idx = np.ascontiguousarray(draw.T, dtype=np.min_scalar_type(n - 1))
         repeated = np.zeros(idx.shape[1], dtype=bool)
         for i, j in combinations(range(rho), 2):
             repeated |= idx[i] == idx[j]
         got += idx.shape[1] - int(np.count_nonzero(repeated))
-        for lo in range(0, idx.shape[1], _HIT_BATCH):
-            hits += _count_hits(cols, idx[:, lo : lo + _HIT_BATCH])
+        hits += _count_hits(cols, idx)
     return hits
 
 
@@ -453,19 +452,14 @@ def s_rho_sampled(
     an index redrawn), in fixed-size chunks with one derived stream each, so
     the estimate is reproducible for a given master seed at any thread count.
     """
-    h = code.H
-    n = h.cols
+    n = code.H.cols
     if not 1 <= rho <= n:
         raise PreconditionError(f"rho={rho} outside 1..{n}")
     if samples < 1:
         raise PreconditionError("need at least one sample")
-    jobs = [
-        (i, min(_SAMPLE_CHUNK, samples - i * _SAMPLE_CHUNK))
-        for i in range((samples + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK)
-    ]
-    worker = partial(_sample_chunk, _column_words(h), n, rho, master_seed)
-    with thread_map(worker, jobs, threads) as parts:
-        hits = sum(parts)
+    # (index, size) of each chunk, made as the workers take them
+    jobs = enumerate(min(_SAMPLE_CHUNK, samples - lo) for lo in range(0, samples, _SAMPLE_CHUNK))
+    hits = _summed(partial(_sample_chunk, _column_words(code.H), n, rho, master_seed), jobs, threads, None)
     return SampleEstimate(n=n, rho=rho, samples=samples, hits=hits, master_seed=master_seed)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -145,16 +146,25 @@ def thread_count(explicit: int | None = None) -> int:
 def thread_map(fn: Callable, items: Iterable, threads: int | None = None) -> Iterator[Iterator]:
     """fn over items, in order, on thread_count(threads) workers.
 
-    One worker maps inline. Otherwise the pool is shut down on every exit
-    from the with-block, cancelling the work not yet started, so a worker
-    that raises leaves no thread behind.
+    One worker maps inline. Otherwise at most two items per worker are in
+    flight, one more submitted as each further result is asked for, and
+    the pool is shut down on every exit from the with-block, cancelling
+    the work not yet started, so a worker that raises leaves no thread behind.
     """
     workers = thread_count(threads)
     if workers == 1:
         yield map(fn, items)
         return
     pool = ThreadPoolExecutor(max_workers=workers)
+
+    def results() -> Iterator:
+        rest = iter(items)
+        pending = [pool.submit(fn, item) for item in islice(rest, 2 * workers)]
+        while pending:
+            yield pending.pop(0).result()
+            pending.extend(pool.submit(fn, item) for item in islice(rest, 1))
+
     try:
-        yield pool.map(fn, items)
+        yield results()
     finally:
         pool.shutdown(cancel_futures=True)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from qpcodes.erasure import (
 )
 from qpcodes.errors import BudgetError, ConsistencyError, PreconditionError
 from qpcodes.gf2 import BitMatrix, gf2_rank
+from qpcodes.rng import DOMAIN_ERASURE_SAMPLING, derive_stream
 from qpcodes.spectrum import oracle_spectrum
 
 pan5 = panchenko(5)
@@ -273,7 +275,8 @@ def test_sampling_chunking_does_not_change_the_plan():
 
 def test_sampled_hits_are_pinned():
     # the index dtype narrows (uint8 at n = 80, uint16 at n = 512) only after
-    # the int64 draw, so these totals of int64 indices must not move
+    # the uint32 draw, which gives the int64 draw's indices, so these totals
+    # of int64 indices must not move
     assert s_rho_sampled(panchenko(8), 7, 300_000, master_seed=5).hits == 210_103
     assert s_rho_sampled(extended_hamming(10), 6, 100_000, master_seed=8).hits == 96_851
 
@@ -284,6 +287,62 @@ def test_sampled_hits_with_mostly_repeated_draws_are_pinned():
     # across two
     assert s_rho_sampled(pan5, 5, 200_000, master_seed=3).hits == 139_475
     assert s_rho_sampled(pan5, 5, (1 << 20) + 5000, master_seed=4).hits == 735_549
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 80, 128, 1280, 5 << 15, 1 << 18, (1 << 31) + 1])
+def test_uint32_draws_continue_one_int64_draw(n):
+    # the sampler draws its rows in batches of uint32 indices; the pinned
+    # totals hold only while, for ranges below 2^32, numpy draws uint32 and
+    # int64 by the same 32-bit method and each call continues the stream
+    # where the last stopped (odd sizes leave half a 64-bit word over)
+    rows, rho = 3000, 7
+    whole = derive_stream(6, DOMAIN_ERASURE_SAMPLING, 2).integers(0, n, size=(rows, rho), dtype=np.int64)
+    rng = derive_stream(6, DOMAIN_ERASURE_SAMPLING, 2)
+    parts = [rng.integers(0, n, size=(m, rho), dtype=np.uint32) for m in (1, 3, 17, 999, rows - 1020)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+# (code, rho, samples, seed, hits) pinned above: one chunk and two, and
+# about 70% of rows redrawn at pan5 rho = 5
+PINNED_HITS = [
+    (pan5, 4, 5000, 9, 4746),
+    (pan5, 5, 200_000, 3, 139_475),
+    (pan5, 5, (1 << 20) + 5000, 4, 735_549),
+    (panchenko(8), 7, 300_000, 5, 210_103),
+]
+
+
+@pytest.mark.parametrize("batch", [4097, 1 << 20])
+def test_hit_batch_is_not_part_of_the_plan(monkeypatch, batch):
+    monkeypatch.setattr(erasure, "_HIT_BATCH", batch)
+    for code, rho, samples, seed, hits in PINNED_HITS:
+        for threads in (1, 2, 5):
+            assert s_rho_sampled(code, rho, samples, seed, threads=threads).hits == hits
+
+
+def test_one_row_batches_read_the_same_rows(monkeypatch):
+    # a kernel call per drawn row, so only the smallest pinned total runs in
+    # full; short runs of the others must match the default batch
+    runs = [(pan5, 5, 1000, 3), (panchenko(8), 7, 1000, 5)]
+    expect = [s_rho_sampled(*run).hits for run in runs]
+    monkeypatch.setattr(erasure, "_HIT_BATCH", 1)
+    assert s_rho_sampled(pan5, 4, 5000, 9).hits == 4746
+    assert [s_rho_sampled(*run, threads=2).hits for run in runs] == expect
+
+
+def test_sampler_memory_does_not_grow_with_samples():
+    # a 2^16-row batch of pan8 rho = 7 peaks near 6.5 MB; holding a whole
+    # 2^20-sample chunk's draw at once would take over 60 MB
+    s_rho_sampled(panchenko(8), 7, 1, 11, threads=1)  # first-call set-up
+    peaks = []
+    for samples in (1 << 16, 1 << 20):
+        tracemalloc.start()
+        try:
+            s_rho_sampled(panchenko(8), 7, samples, 11, threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_sampling_validation():

@@ -360,6 +360,16 @@ def test_plain_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.05 * peaks[0], peaks
+    # two workers hold a chunk each, and only a few results wait to be
+    # taken, however many chunks the run has; a future kept per chunk
+    # would add several KB each to these 256 chunks
+    tracemalloc.start()
+    try:
+        failure_probability(PC, SimConfig(p=1e-3, d_plus=4, trials=262144, master_seed=3), threads=2)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[2] < 2.2 * peaks[0], peaks
 
 
 def test_plain_counts_match_per_trial_decode():

@@ -120,6 +120,22 @@ def test_thread_map_keeps_item_order(threads):
         assert list(parts) == [x * x for x in range(40)]
 
 
+def test_thread_map_pulls_items_only_as_results_are_taken():
+    pulled = []
+
+    def items():
+        for i in range(50):
+            pulled.append(i)
+            yield i
+
+    with thread_map(lambda x: x * x, items(), 3) as parts:
+        for i, part in enumerate(parts):
+            assert part == i * i
+            # two items per worker at the start, then one as each further
+            # result is asked for
+            assert len(pulled) == min(50, 2 * 3 + i)
+
+
 def test_thread_map_shuts_its_pool_down_when_a_worker_raises():
     before = set(threading.enumerate())
     started = []
