@@ -10,10 +10,14 @@ decoding. Three roads to it live here:
 * s_rho_exact / s_rho_sampled: the true count, or an unbiased
   subset-sampling estimate when C(n,rho) is out of budget. The count has
   two exact routes that return the same integer: Moebius inversion on the
-  subspace lattice of GF(2)^rank(H), fed by the number of columns inside
-  each subspace of dimension <= rho, and the pruned enumeration of
-  rho-subsets. The lattice runs when those subspaces number no more than
-  the C(n,rho) subsets, the enumeration otherwise;
+  subspace lattice, and the pruned enumeration of rho-subsets. The lattice
+  first peels the length doublings off H (read from the matrix, as the
+  family builders write them), leaving a base of rank s under m doublings,
+  whose columns stand for GF(2)^m x the base's columns. It is fed by the
+  number of base columns inside each subspace of GF(2)^s of dimension
+  <= rho, and runs when those subspaces number no more than the C(n,rho)
+  subsets, the enumeration otherwise. A matrix with no doubling to peel
+  is its own base, m = 0;
 * psi_tilde and friends: the recursive refinement of psi driven by spectra
   of shortened codes, plus the closed-form entropy floors.
 
@@ -271,20 +275,38 @@ def _gaussian_binomial(m: int, k: int) -> int:
     return num // den
 
 
-def _lattice_term(cnt: np.ndarray, rank: int, rho: int, pivots: tuple[int, ...]) -> int:
-    """The share of S_rho from the subspaces U whose reduced echelon basis
-    has these pivots: the Moebius-weighted sum of C(x_U, rho), where
-    x_U = the sum of cnt over U counts the columns lying in U.
+def _mobius_weight(rank: int, rho: int, i: int) -> int:
+    """The Moebius weight of a subspace U of dimension i: the sum of mu(U, V)
+    over the V of dimension rho above U. mu(U, V) = (-1)^k 2^C(k,2) with
+    k = rho - i, the same for each of the [rank-i choose rho-i]_2 such V."""
+    return (-1) ** (rho - i) * 2 ** math.comb(rho - i, 2) * _gaussian_binomial(rank - i, rho - i)
+
+
+def _lattice_term(cnt: np.ndarray, s: int, m: int, rho: int, pivots: tuple[int, ...]) -> int:
+    """The share of S_rho from the subspaces U of GF(2)^m x GF(2)^s whose
+    projection W onto the base space GF(2)^s has these echelon pivots.
+
+    The columns are GF(2)^m x the base columns, so if U meets GF(2)^m x 0 in
+    a space K of dimension k, it holds x_U = 2^k * c columns, c = the sum of
+    cnt over W; and [m choose k]_2 * 2^(w(m-k)) spaces U of dimension w + k
+    project onto a W of dimension w with such a K. Each W thus weighs
+    sum over k <= min(m, rho - w) of [m choose k]_2 * 2^(w(m-k)) *
+    C(2^k c, rho) * mu(w + k), mu as in _mobius_weight at rank s + m.
+    With m = 0 that is C(c, rho) * mu(w), the plain Moebius term.
 
     Basis vector i has lowest bit pivots[i] and a free bit at each higher
     non-pivot position; the F free bits of all vectors count through
-    0..2^F-1, one subspace each, in slices of _LATTICE_SLICE.
+    0..2^F-1, one subspace W each, in slices of _LATTICE_SLICE.
     """
-    j = len(pivots)
-    word = np.min_scalar_type((1 << rank) - 1)
-    free = [(i, q) for i, p in enumerate(pivots) for q in range(p + 1, rank) if q not in pivots]
+    w = len(pivots)
+    word = np.min_scalar_type((1 << s) - 1)
+    free = [(i, q) for i, p in enumerate(pivots) for q in range(p + 1, s) if q not in pivots]
     lead = np.array([1 << p for p in pivots], dtype=np.int64)[:, None]
     subspaces = 1 << len(free)
+    weights = [
+        _gaussian_binomial(m, k) * 2 ** (w * (m - k)) * _mobius_weight(s + m, rho, w + k)
+        for k in range(min(m, rho - w) + 1)
+    ]
     acc = 0
     for lo in range(0, subspaces, _LATTICE_SLICE):
         t = np.arange(lo, min(lo + _LATTICE_SLICE, subspaces), dtype=np.int64)
@@ -295,10 +317,12 @@ def _lattice_term(cnt: np.ndarray, rank: int, rho: int, pivots: tuple[int, ...])
         for b in basis.astype(word):
             span = np.concatenate([span, span ^ b])
         x = cnt[span].sum(axis=0, dtype=np.intp)
-        acc += sum(math.comb(v, rho) * c for v, c in enumerate(np.bincount(x).tolist()) if c)
-    # mu(U, V) = (-1)^k 2^C(k,2) with k = dim V - dim U, the same for each
-    # of the [rank-j choose rho-j]_2 spaces V of dimension rho above U
-    return (-1) ** (rho - j) * 2 ** math.comb(rho - j, 2) * _gaussian_binomial(rank - j, rho - j) * acc
+        acc += sum(
+            ways * sum(a * math.comb(c << k, rho) for k, a in enumerate(weights))
+            for c, ways in enumerate(np.bincount(x).tolist())
+            if ways
+        )
+    return acc
 
 
 def _summed(
@@ -324,23 +348,45 @@ def _count_by_enumeration(
     return _summed(counter, range(h.cols - rho + 1), threads, progress)
 
 
+def _peel(h: BitMatrix) -> tuple[BitMatrix, int]:
+    """(base, m): H read as m length doublings of base, m as large as H's
+    own rows show. One doubling is a top row 0...0|1...1 over the base
+    written twice side by side, r | r << n/2 in every other row; so while n
+    is even and H has two rows or more, a row 0 and halves of that form
+    peel off. The check reads the matrix, never a code's recorded lineage.
+    """
+    m = 0
+    while h.cols and h.cols % 2 == 0 and h.nrows >= 2:
+        half = h.cols // 2
+        ones = (1 << half) - 1
+        low = [r & ones for r in h.rows[1:]]
+        if h.rows[0] != ones << half or any(r != lo | lo << half for r, lo in zip(h.rows[1:], low)):
+            break
+        h, m = BitMatrix(tuple(low), half), m + 1
+    return h, m
+
+
 def _count_on_lattice(
     h: BitMatrix, rho: int, threads: int | None, progress: Callable[[int, int], None] | None
 ) -> int:
-    """S_rho by Moebius inversion on the subspaces of GF(2)^rank(H), one part
-    per echelon pivot set of dimension <= rho.
+    """S_rho by Moebius inversion on the subspace lattice, one part per
+    echelon pivot set of dimension <= rho in the space GF(2)^s of the base
+    that _peel leaves; H's columns are GF(2)^m x the base's.
 
     A rho-set is independent iff it spans a rho-dimensional space, and
     C(x_U, rho) counts the rho-sets inside U, so with mu the Moebius
-    function of the lattice, S_rho = sum over dim U <= rho of
-    C(x_U, rho) * sum over dim V = rho, V >= U of mu(U, V). Zero and
-    repeated columns count through cnt, the number of columns per word.
+    function of the lattice of GF(2)^rank(H), S_rho = sum over dim U <= rho
+    of C(x_U, rho) * sum over dim V = rho, V >= U of mu(U, V). _lattice_term
+    sums the U above each base subspace W at once; with m = 0 the base is
+    H and each U is its own W. Zero and repeated columns count through
+    cnt, the number of base columns per word.
     """
-    cols = _column_words(h)
-    rank = h.rank()
-    cnt = np.bincount(cols.astype(np.intp), minlength=1 << rank).astype(np.min_scalar_type(h.cols))
-    pivot_sets = [p for j in range(rho + 1) for p in combinations(range(rank), j)]
-    return _summed(partial(_lattice_term, cnt, rank, rho), pivot_sets, threads, progress)
+    base, m = _peel(h)
+    cols = _column_words(base)
+    s = base.rank()
+    cnt = np.bincount(cols.astype(np.intp), minlength=1 << s).astype(np.min_scalar_type(base.cols))
+    pivot_sets = [p for j in range(rho + 1) for p in combinations(range(s), j)]
+    return _summed(partial(_lattice_term, cnt, s, m, rho), pivot_sets, threads, progress)
 
 
 def s_rho_exact(
@@ -354,12 +400,14 @@ def s_rho_exact(
     """Exact number of correctable weight-rho erasure patterns.
 
     Two exact routes give the same integer, and the one with less to visit
-    runs: Moebius inversion on the subspace lattice when GF(2)^rank(H) has
-    no more subspaces of dimension <= rho than there are rho-subsets of
-    columns, else the pruned enumeration of rho-subsets. Each route splits
-    its work into parts (echelon pivot sets, or the first column index)
+    runs: Moebius inversion on the subspace lattice when GF(2)^s, the space
+    of the base left once _peel takes the doublings off H, has no more
+    subspaces of dimension <= rho than there are rho-subsets of columns,
+    else the pruned enumeration of rho-subsets. Each route splits its work
+    into parts (the base's echelon pivot sets, or the first column index)
     whose counts are summed as integers, so the result is identical for
-    any thread count; progress(done, total) fires once per part.
+    any thread count; progress(done, total) fires once per part. The
+    budget is read in C(n, rho) subsets whichever route runs.
     """
     h = code.H
     n = h.cols
@@ -375,9 +423,11 @@ def s_rho_exact(
     rank = h.rank()
     if rho > rank:
         return 0  # a subset's rank is capped by rank(H)
-    # the lattice also needs a table of 2^rank column counts; the rule keeps
-    # 2^rank below C(n, rho), as the j = 0 and 1 terms alone sum to 2^rank
-    lattice = sum(_gaussian_binomial(rank, j) for j in range(rho + 1)) <= total
+    # the peeled lattice walks the subspaces of the base's GF(2)^s, and
+    # rank(H) = m + s. It also needs a table of 2^s column counts; the rule
+    # keeps 2^s below C(n, rho), as the j = 0 and 1 terms alone sum to 2^s
+    s = rank - _peel(h)[1]
+    lattice = sum(_gaussian_binomial(s, j) for j in range(min(rho, s) + 1)) <= total
     route = _count_on_lattice if lattice else _count_by_enumeration
     return route(h, rho, threads, progress)
 

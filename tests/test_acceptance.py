@@ -200,8 +200,9 @@ def test_criterion_05_reference_grid_extended_regime():
 def test_sampled_grid_cells_are_exact_on_the_lattice():
     """The four r=8 cells criterion 5 samples, counted exactly, and within the
     1e-4 slack of their printed values. eh8 rho=7 has C(128,7) = 9.45e10
-    subsets, over the default budget, so the budget is raised to C(n, rho);
-    the lattice route visits 417,198 subspaces at rank 8."""
+    subsets, over the default budget, so the budget is raised to C(n, rho).
+    The lattice route peels the doublings off H and visits the subspaces of
+    the base: 67 of GF(2)^4 under the seed S for pan8, 2 of GF(2)^1 for eh8."""
     expect = {
         ("pan", "panchenko", 6): 265_359_360,
         ("pan", "panchenko", 7): 2_222_653_440,

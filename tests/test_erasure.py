@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qpcodes import cli, erasure, spectrum
-from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, panchenko, seed, shorten
+from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, general_qp, panchenko, seed, shorten
 from qpcodes.erasure import (
     ErasureReport,
     delta_entropy_bound,
@@ -175,10 +175,18 @@ def test_exact_count_thread_invariance():
         assert s_rho_exact(extended_hamming(7), 4, threads=t) == expect
 
 
+def reversed_columns(code: Code) -> Code:
+    """code with its columns in reverse order: the top row of a doubling
+    then reads 1...1|0...0, so no doubling peels off H."""
+    return bare_code(code.H.select_columns(range(code.spec.n - 1, -1, -1)))
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_exact_count_progress_fires_once_per_root(threads):
+    # reversed, pan5 keeps rank 5 and takes the enumeration at rho = 4
     calls = []
-    s_rho_exact(pan5, 4, threads=threads, progress=lambda done, total: calls.append((done, total)))
+    code = reversed_columns(pan5)
+    s_rho_exact(code, 4, threads=threads, progress=lambda done, total: calls.append((done, total)))
     roots = 10 - 4 + 1
     assert calls == [(done, roots) for done in range(1, roots + 1)]
 
@@ -204,14 +212,18 @@ def _pan9_short88() -> Code:
     return shorten(pan9, list(range(pan9.spec.n - 88, pan9.spec.n)))
 
 
-# (code, rho, subspaces of dimension <= rho in GF(2)^rank, S_rho, route): the
-# lattice runs iff the subspaces number no more than the C(n, rho) subsets
+# (code, rho, subspaces of dimension <= rho in GF(2)^s of the base that the
+# doublings peel down to, S_rho, route): the lattice runs iff the subspaces
+# number no more than the C(n, rho) subsets
 ROUTE_CELLS = {
-    "eh7-rho6": (lambda: extended_hamming(7), 6, 29_211, 55_996_416, "_count_on_lattice"),
-    "pan8-rho5": (lambda: panchenko(8), 5, 406_148, 23_191_680, "_count_on_lattice"),
-    # rank 8 below its 9 rows
+    # base [1], 6 doublings
+    "eh7-rho6": (lambda: extended_hamming(7), 6, 2, 55_996_416, "_count_on_lattice"),
+    # base the seed S, 4 doublings
+    "pan8-rho5": (lambda: panchenko(8), 5, 67, 23_191_680, "_count_on_lattice"),
+    # no doubling left to peel; rank 8 below its 9 rows
     "pan9-short88-rho4": (_pan9_short88, 4, 308_993, 1_022_133, "_count_on_lattice"),
-    "pan5-rho4": (lambda: pan5, 4, 373, 200, "_count_by_enumeration"),
+    "pan5-rho4": (lambda: pan5, 4, 67, 200, "_count_on_lattice"),
+    "pan5-reversed-rho4": (lambda: reversed_columns(pan5), 4, 373, 200, "_count_by_enumeration"),
 }
 
 
@@ -219,8 +231,9 @@ ROUTE_CELLS = {
 def test_exact_route_rule(monkeypatch, cell):
     build, rho, subspaces, count, route = ROUTE_CELLS[cell]
     code = build()
-    rank = code.H.rank()
-    assert sum(erasure._gaussian_binomial(rank, j) for j in range(rho + 1)) == subspaces
+    base, _ = erasure._peel(code.H)
+    s = base.rank()
+    assert sum(erasure._gaussian_binomial(s, j) for j in range(min(rho, s) + 1)) == subspaces
     assert (subspaces <= math.comb(code.spec.n, rho)) == (route == "_count_on_lattice")
     taken = _routes_taken(monkeypatch)
     assert s_rho_exact(code, rho) == count
@@ -229,9 +242,10 @@ def test_exact_route_rule(monkeypatch, cell):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_lattice_progress_fires_once_per_pivot_set(threads, monkeypatch):
+    # reversed, eh5 cannot peel, so its parts are the pivot sets of GF(2)^5
     taken = _routes_taken(monkeypatch)
     calls = []
-    eh5 = extended_hamming(5)
+    eh5 = reversed_columns(extended_hamming(5))
     count = s_rho_exact(eh5, 4, threads=threads, progress=lambda done, total: calls.append((done, total)))
     assert taken == ["_count_on_lattice"]
     assert count == brute_s_rho(eh5.H, 4)
@@ -239,10 +253,98 @@ def test_lattice_progress_fires_once_per_pivot_set(threads, monkeypatch):
     assert calls == [(done, pivot_sets) for done in range(1, pivot_sets + 1)]
 
 
-@pytest.mark.parametrize("code", [pan5, extended_hamming(5)], ids=["enumeration", "lattice"])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_peeled_lattice_progress_fires_once_per_base_pivot_set(threads, monkeypatch):
+    # eh5 peels to the 1x1 base [1] under 4 doublings: pivot sets () and (0,)
+    taken = _routes_taken(monkeypatch)
+    calls = []
+    eh5 = extended_hamming(5)
+    count = s_rho_exact(eh5, 4, threads=threads, progress=lambda done, total: calls.append((done, total)))
+    assert taken == ["_count_on_lattice"]
+    assert count == brute_s_rho(eh5.H, 4)
+    assert calls == [(1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize(
+    "code", [reversed_columns(pan5), extended_hamming(5)], ids=["enumeration", "lattice"]
+)
 def test_exact_count_refuses_zero_threads_on_both_routes(code):
     with pytest.raises(PreconditionError):
         s_rho_exact(code, 4, threads=0)
+
+
+PEEL_GRID = {
+    **{f"eh{r}": (lambda r=r: extended_hamming(r), r - 1, 1) for r in range(4, 9)},
+    **{f"pan{r}": (lambda r=r: panchenko(r), r - 4, 4) for r in range(5, 9)},
+    **{f"g3-r{r}": (lambda r=r: general_qp(r, 3, seed("example_9_5")), r - 5, 5) for r in (7, 8)},
+}
+
+
+@pytest.mark.parametrize("name", list(PEEL_GRID))
+def test_peeled_count_equals_unpeeled(name):
+    """Every rho <= min(rank, 7): the count through the doublings equals the
+    count of the same columns in reverse order, which cannot peel."""
+    build, doublings, seed_rank = PEEL_GRID[name]
+    code = build()
+    base, m = erasure._peel(code.H)
+    assert (m, base.rank()) == (doublings, seed_rank)
+    unpeeled = reversed_columns(code)
+    assert erasure._peel(unpeeled.H)[1] == 0
+    n, rank = code.spec.n, code.H.rank()
+    for rho in range(1, min(rank, 7) + 1):
+        budget = math.comb(n, rho)
+        assert s_rho_exact(code, rho, budget=budget) == s_rho_exact(unpeeled, rho, budget=budget)
+
+
+def test_one_row_matrix_does_not_peel():
+    h = BitMatrix((0b11110000,), 8)  # 0...0|1...1: a doubling of no rows
+    assert erasure._peel(h) == (h, 0)
+    for rho in range(0, 3):
+        expect = brute_s_rho(h, rho) if rho else 1
+        assert s_rho_exact(bare_code(h), rho) == expect
+
+
+def test_unequal_halves_do_not_peel():
+    # eh4 with one bit of row 1 flipped in the high half: row 0 still reads
+    # 0...0|1...1, but row 1 is no longer r | r << 4
+    h = BitMatrix((eh4.H.rows[0], eh4.H.rows[1] ^ 1 << 7) + eh4.H.rows[2:], 8)
+    assert erasure._peel(h) == (h, 0)
+    for rho in range(1, 5):
+        assert s_rho_exact(bare_code(h), rho) == brute_s_rho(h, rho)
+
+
+def test_top_row_out_of_place_does_not_peel():
+    eh5 = extended_hamming(5)
+    moved = bare_code(BitMatrix(eh5.H.rows[1:] + eh5.H.rows[:1], eh5.spec.n))
+    assert erasure._peel(moved.H)[1] == 0
+    assert erasure._peel(eh5.H)[1] == 4
+    for rho in range(1, 6):
+        assert s_rho_exact(moved, rho) == s_rho_exact(eh5, rho)
+
+
+# (code, rho, S_rho) past r = 8: each one pass over its seed's subspaces
+LARGE_EXACT = {
+    "pan9-rho7": (lambda: panchenko(9), 7, 394_499_194_880),
+    "eh9-rho7": (lambda: extended_hamming(9), 7, 11_053_372_538_880),
+    "pan10-rho8": (lambda: panchenko(10), 8, 2_045_370_527_907_840),
+}
+
+
+@pytest.mark.parametrize("cell", list(LARGE_EXACT))
+def test_exact_counts_past_r8_are_pinned(cell):
+    build, rho, count = LARGE_EXACT[cell]
+    code = build()
+    assert s_rho_exact(code, rho, budget=math.comb(code.spec.n, rho)) == count
+
+
+@pytest.mark.parametrize("cell", ["eh9-rho7", "pan10-rho8"])
+def test_sampler_is_within_four_sigma_of_exact_past_r8(cell):
+    # 200,000 samples, as the benchmark's large-r cells draw
+    build, rho, count = LARGE_EXACT[cell]
+    code = build()
+    est = s_rho_sampled(code, rho, 200_000, master_seed=11)
+    exact = Fraction(count, math.comb(code.spec.n, rho))
+    assert abs(float(est.estimate - exact)) <= 4 * est.std_error
 
 
 def test_exact_count_budget_refusal():

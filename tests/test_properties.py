@@ -1,7 +1,8 @@
 """Property tests on small shortened codes: the exact count and the psi
 floor depend on the set of H's columns, not their order, and
 psi <= S_rho <= C(n, rho), with equality on the left in the exact regime.
-The two exact routes, lattice and enumeration, agree on every matrix."""
+The two exact routes, lattice and enumeration, agree on every matrix,
+doubled ones included, from which the lattice peels the doublings."""
 
 import math
 
@@ -55,15 +56,19 @@ def lattice_matrices(draw):
     """H of a random shortening of a small family code (pan7 cut to at most
     24 columns, so enumeration stays cheap), or a random matrix whose columns
     are sums of a few random vectors: zero columns, repeated columns and
-    rank below the row count all occur."""
+    rank below the row count all occur. The random matrix is then doubled
+    0-3 times (a top row 0...0|1...1 over two copies side by side), so the
+    lattice peels those doublings back off; it stays at most 24 columns."""
     if draw(st.booleans()):
         base = draw(st.sampled_from(BASES + [panchenko(7)]))
         n = base.spec.n
         drop = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=max(0, n - 24), max_size=n - 1))
         return shorten(base, drop).H
+    doublings = draw(st.integers(0, 3))
     nrows = draw(st.integers(1, 7))
     gens = draw(st.lists(st.integers(0, (1 << nrows) - 1), min_size=1, max_size=nrows))
-    masks = draw(st.lists(st.integers(0, (1 << len(gens)) - 1), min_size=1, max_size=14))
+    width = min(14, 24 >> doublings)
+    masks = draw(st.lists(st.integers(0, (1 << len(gens)) - 1), min_size=1, max_size=width))
     cols = []
     for mask in masks:
         x = 0
@@ -72,7 +77,11 @@ def lattice_matrices(draw):
                 x ^= g
         cols.append(x)
     rows = tuple(sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(nrows))
-    return BitMatrix(rows, len(cols))
+    n = len(cols)
+    for _ in range(doublings):
+        rows = (((1 << n) - 1) << n,) + tuple(r | r << n for r in rows)
+        n *= 2
+    return BitMatrix(rows, n)
 
 
 @settings(PROPERTY, max_examples=100)
