@@ -45,6 +45,7 @@ from .product_sim import (
     SimConfig,
     SimResult,
     default_product_code,
+    failure_probabilities,
     failure_probability,
 )
 from .spectrum import WeightSpectrum, oracle_spectrum, spectrum_by_doubling
@@ -308,16 +309,19 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _simulate(args: argparse.Namespace, pc: ProductCode, p: float, d_plus: int) -> SimResult:
-    """failure_probability at (p, d_plus), with the trials, seed, strategy
-    and strata settings of simulate or table --which 2."""
-    cfg = SimConfig(p=p, d_plus=d_plus, trials=args.trials, master_seed=args.seed,
-                    strategy="stratified" if args.stratified else "plain")
-    return failure_probability(pc, cfg, per_stratum=args.per_stratum, k_max=args.kmax)
+def _sim_configs(args: argparse.Namespace, p: float, dplus: list[int]) -> list[SimConfig]:
+    """One SimConfig per d_plus at p, from the --trials, --seed and
+    --stratified of simulate or table --which 2."""
+    return [
+        SimConfig(p=p, d_plus=dp, trials=args.trials, master_seed=args.seed,
+                  strategy="stratified" if args.stratified else "plain")
+        for dp in dplus
+    ]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    res = _simulate(args, default_product_code(), args.p, args.dplus)
+    cfg, = _sim_configs(args, args.p, [args.dplus])
+    res = failure_probability(default_product_code(), cfg, per_stratum=args.per_stratum, k_max=args.kmax)
     payload = res.to_json()
     del payload["master_seed"]  # the manifest records it
     _emit(args, _json(payload), master_seed=args.seed)
@@ -388,11 +392,14 @@ def _cmd_table(args: argparse.Namespace) -> None:
 
     ps = _parse_list(args.p, float)
     dplus = _parse_list(args.dplus, int)
+    # every cell is checked before any trial is drawn
+    grid = [_sim_configs(args, p, dplus) for p in ps]
     pc = default_product_code()
     rows = []
-    for p in ps:
-        for dp in dplus:
-            res = _simulate(args, pc, p, dp)
+    for cfgs in grid:
+        # the cells of one p share their trials, which are drawn once
+        for res in failure_probabilities(pc, cfgs, per_stratum=args.per_stratum, k_max=args.kmax):
+            p, dp = res.p, res.d_plus
             estimate = float(res.estimate)
             ref = TABLE2_REFERENCE.get((p, dp))
             deviation = estimate - float(ref) if ref is not None else None

@@ -267,7 +267,9 @@ def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int
 
 def _gaussian_binomial(m: int, k: int) -> int:
     """[m choose k]_2: the number of k-dimensional subspaces of GF(2)^m
-    (0 when k > m)."""
+    (0 when k < 0 or k > m)."""
+    if not 0 <= k <= m:
+        return 0
     num = den = 1
     for i in range(k):
         num *= (1 << (m - i)) - 1

@@ -32,12 +32,18 @@ positions make. Only the routed trials with a silent line, the only ones
 that can end in a miscorrection, are laid out as arrays and run through
 decode. One run loop and one estimator serve both strategies: plain is the
 stratified estimator on a single stratum of weight 1.
+
+A trial's stream is keyed by the seed and its index alone, never by
+d_plus, so the cells of one p in a Table 2 grid see the same trials.
+failure_probabilities takes all of them at once: each job draws its trials
+and builds their row and column syndromes once, then classifies them under
+every d_plus.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
@@ -61,6 +67,7 @@ __all__ = [
     "decode",
     "default_product_code",
     "encode",
+    "failure_probabilities",
     "failure_probability",
 ]
 
@@ -363,10 +370,12 @@ def decode(
 # ---------------------------------------------------------------------------
 
 
-def _erasable(flags: np.ndarray, words: np.ndarray, cap: int) -> np.ndarray:
-    """Per trial, whether its flagged lines (True in a row of flags) are at
-    most cap in number and independent as columns of H, whose column words
-    (unsigned) are words. No flagged line at all is an empty, independent set."""
+def _erasable(flags: np.ndarray, words: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, ok) per trial: how many lines are flagged (True in its row
+    of flags), and whether they are at most cap in number and independent
+    as columns of H, whose column words (unsigned) are words. No flagged
+    line at all is an empty, independent set. A smaller cap c reads
+    ok & (count <= c)."""
     counts = np.count_nonzero(flags, axis=1)
     ok = counts == 0
     few = np.flatnonzero((counts > 0) & (counts <= cap))
@@ -376,7 +385,7 @@ def _erasable(flags: np.ndarray, words: np.ndarray, cap: int) -> np.ndarray:
         sel = counts[few] == c
         if sel.any():
             ok[few[sel]] = independent_words(words[order[sel, :c].T])
-    return ok
+    return counts, ok
 
 
 def _line_states(
@@ -394,9 +403,10 @@ def _line_states(
 
 
 def _classify_batch(
-    pc: ProductCode, size: int, trial: np.ndarray, pos: np.ndarray, d_plus: int
+    pc: ProductCode, size: int, trial: np.ndarray, pos: np.ndarray, d_plus: tuple[int, ...]
 ) -> np.ndarray:
-    """Outcome codes for size trials of errors laid over the zero array.
+    """Outcome codes for size trials of errors laid over the zero array,
+    one row per cap of d_plus.
 
     The errors are given by their positions: error i sits in trial[i] at
     flat position pos[i] (row * n_row + column) of that trial's array, and
@@ -411,24 +421,29 @@ def _classify_batch(
     silent, every error of a routed trial lies in the erased lines, whose
     refill is unique: a success. Only routed trials with a silent line,
     the one way to a miscorrection, are laid out as arrays and run the
-    full per-trial decode.
+    full per-trial decode. The syndromes, and the independence of each
+    flagged set up to the largest cap, are found once for every cap.
     """
     row, col = np.divmod(pos, pc.n_row)
     row_flag, row_hit = _line_states(trial, row, pc.row_words[col], size, pc.n_col)
     col_flag, col_hit = _line_states(trial, col, pc.col_words[row], size, pc.n_row)
-    by_cols = _erasable(col_flag, pc.row_words, min(d_plus, pc.row_code.H.nrows))
-    routed = by_cols | _erasable(row_flag, pc.col_words, min(d_plus, pc.col_code.H.nrows))
-    silent = np.where(
-        by_cols, (col_hit & ~col_flag).any(axis=1), (row_hit & ~row_flag).any(axis=1)
-    )
-    out = np.full(size, _DETECTED, dtype=np.int8)
-    out[routed & ~silent] = _SUCCESS
+    top = max(d_plus)
+    col_count, col_ok = _erasable(col_flag, pc.row_words, min(top, pc.row_code.H.nrows))
+    row_count, row_ok = _erasable(row_flag, pc.col_words, min(top, pc.col_code.H.nrows))
+    col_silent = (col_hit & ~col_flag).any(axis=1)
+    row_silent = (row_hit & ~row_flag).any(axis=1)
+    out = np.full((len(d_plus), size), _DETECTED, dtype=np.int8)
     zero = np.zeros((pc.n_col, pc.n_row), dtype=np.uint8)
-    for t in np.flatnonzero(routed & silent):
-        errors = np.zeros(pc.bits, dtype=np.uint8)
-        errors[pos[trial == t]] = 1
-        res = decode(pc, errors.reshape(pc.n_col, pc.n_row), d_plus, transmitted=zero)
-        out[t] = {"success": _SUCCESS, "detected_failure": _DETECTED, "miscorrection": _MISCORRECTION}[res.outcome]
+    for codes, dp in zip(out, d_plus):
+        by_cols = col_ok & (col_count <= dp)
+        routed = by_cols | (row_ok & (row_count <= dp))
+        silent = np.where(by_cols, col_silent, row_silent)
+        codes[routed & ~silent] = _SUCCESS
+        for t in np.flatnonzero(routed & silent):
+            errors = np.zeros(pc.bits, dtype=np.uint8)
+            errors[pos[trial == t]] = 1
+            res = decode(pc, errors.reshape(pc.n_col, pc.n_row), dp, transmitted=zero)
+            codes[t] = {"success": _SUCCESS, "detected_failure": _DETECTED, "miscorrection": _MISCORRECTION}[res.outcome]
     return out
 
 
@@ -437,18 +452,6 @@ def _chunk_plan(trials: int, bits: int, p: float) -> list[tuple[int, int]]:
     when p is so high that their uniforms would pass _CHUNK_UNIFORMS."""
     size = min(_CHUNK_TRIALS, max(1, _CHUNK_UNIFORMS // _uniforms_per_trial(bits, p)))
     return [(start, min(size, trials - start)) for start in range(0, trials, size)]
-
-
-def _plain_chunk(pc: ProductCode, cfg: SimConfig, chunk: tuple[int, int]) -> np.ndarray:
-    start, size = chunk
-    # trial t flips the row-major positions the geometric gaps of its own
-    # stream give, as in channel; the streams of the whole chunk, and of
-    # its short trials after them, are each drawn in one array pass
-    trial, pos = _flip_positions(
-        lambda m, rows: stream_uniforms(cfg.master_seed, DOMAIN_SIM_TRIALS, start + rows, m),
-        size, pc.bits, cfg.p,
-    )
-    return _classify_batch(pc, size, trial, pos, cfg.d_plus)
 
 
 @dataclass(frozen=True, repr=False)
@@ -475,15 +478,17 @@ class SimResult:
         return f"SimResult({fields})"
 
 
-def failure_probability(
+def failure_probabilities(
     pc: ProductCode,
-    cfg: SimConfig,
+    cfgs: list[SimConfig],
     *,
     per_stratum: int = 2000,
     k_max: int | None = None,
     threads: int | None = None,
-) -> SimResult:
-    """Estimated probability that a trial does not end in success.
+) -> list[SimResult]:
+    """Estimated probability that a trial does not end in success, one
+    result per config of cfgs, in order; the configs may differ only in
+    d_plus.
 
     plain: cfg.trials independent channel draws, one derived stream per
     trial index, so any prefix/partition of the work gives identical bits.
@@ -498,14 +503,31 @@ def failure_probability(
     trials adds w f / n to the estimate and w^2 q (1 - q) / n, with
     q = (f + 1) / (n + 2), to its variance. Plain is the one stratum of
     weight 1 that holds all cfg.trials trials.
+
+    A trial's stream does not depend on d_plus, so every config sees the
+    same trials; each job draws them and builds their syndromes once, then
+    classifies them under every config's d_plus.
     """
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    if any(replace(c, d_plus=cfg.d_plus) != cfg for c in cfgs):
+        raise PreconditionError("configs simulated together may differ only in d_plus")
     if cfg.strategy == "plain":
         weights, denom, n = {0: 1}, 1, cfg.trials
         # at p = 0 the channel is the identity: every trial is the same clean success
         jobs = [] if cfg.p == 0.0 else _chunk_plan(cfg.trials, pc.bits, cfg.p)
 
-        def work(chunk: tuple[int, int]) -> tuple[list[int], np.ndarray]:
-            return [0], _plain_chunk(pc, cfg, chunk)
+        def draw(chunk: tuple[int, int]) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+            start, size = chunk
+            # trial t flips the row-major positions the geometric gaps of its
+            # own stream give, as in channel; the streams of the whole chunk,
+            # and of its short trials after them, are each drawn in one array pass
+            trial, pos = _flip_positions(
+                lambda m, rows: stream_uniforms(cfg.master_seed, DOMAIN_SIM_TRIALS, start + rows, m),
+                size, pc.bits, cfg.p,
+            )
+            return [0], size, trial, pos
     else:
         if per_stratum < 1:
             raise PreconditionError("per_stratum must be >= 1")
@@ -516,29 +538,56 @@ def failure_probability(
         run = max(1, _CHUNK_TRIALS // n)
         jobs = [ks[i:i + run] for i in range(0, len(ks), run)]
 
-        def work(run_ks: list[int]) -> tuple[list[int], np.ndarray]:
-            return run_ks, _stratum_outcomes(pc, cfg, n, *run_ks)
-    failures = dict.fromkeys(weights, 0)
-    mis = 0
-    # each part's codes are counted as it arrives, one row per stratum
+        def draw(run_ks: list[int]) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+            return run_ks, len(run_ks) * n, *_stratum_errors(pc.bits, cfg.master_seed, n, run_ks)
+
+    d_plus = tuple(c.d_plus for c in cfgs)
+
+    def work(job) -> tuple[list[int], np.ndarray]:
+        run_ks, size, trial, pos = draw(job)
+        return run_ks, _classify_batch(pc, size, trial, pos, d_plus)
+
+    # per stratum, the failures under each config
+    failures = {k: np.zeros(len(cfgs), dtype=np.int64) for k in weights}
+    mis = np.zeros(len(cfgs), dtype=np.int64)
+    # each part's codes are counted as it arrives
     with thread_map(work, jobs, threads) as parts:
         for run_ks, codes in parts:
-            for k, row in zip(run_ks, codes.reshape(len(run_ks), -1)):
-                failures[k] += int(np.count_nonzero(row != _SUCCESS))
-            mis += int(np.count_nonzero(codes == _MISCORRECTION))
-    numerator = 0  # of the estimate, over denom * n
-    variance = 0.0
-    for k, f in failures.items():
-        numerator += weights[k] * f
-        q = (f + 1) / (n + 2)
-        # int / int is correctly rounded, as float(Fraction) is
-        variance += (weights[k] / denom) ** 2 * q * (1.0 - q) / n
-    return SimResult(
-        p=cfg.p, d_plus=cfg.d_plus, trials=n * len(weights), failures=sum(failures.values()),
-        miscorrections=mis, estimate=Fraction(numerator, denom * n),
-        ci95=1.96 * math.sqrt(variance), strategy=cfg.strategy, master_seed=cfg.master_seed,
-        tail_bound=None if cfg.strategy == "plain" else (denom - sum(weights.values())) / denom,
-    )
+            fails = np.count_nonzero(codes.reshape(len(cfgs), len(run_ks), -1) != _SUCCESS, axis=2)
+            for k, f in zip(run_ks, fails.T):
+                failures[k] += f
+            mis += np.count_nonzero(codes == _MISCORRECTION, axis=1)
+    results = []
+    for i, c in enumerate(cfgs):
+        numerator = 0  # of the estimate, over denom * n
+        variance = 0.0
+        for k, counts in failures.items():
+            f = int(counts[i])
+            numerator += weights[k] * f
+            q = (f + 1) / (n + 2)
+            # int / int is correctly rounded, as float(Fraction) is
+            variance += (weights[k] / denom) ** 2 * q * (1.0 - q) / n
+        results.append(SimResult(
+            p=c.p, d_plus=c.d_plus, trials=n * len(weights),
+            failures=sum(int(counts[i]) for counts in failures.values()),
+            miscorrections=int(mis[i]), estimate=Fraction(numerator, denom * n),
+            ci95=1.96 * math.sqrt(variance), strategy=c.strategy, master_seed=c.master_seed,
+            tail_bound=None if c.strategy == "plain" else (denom - sum(weights.values())) / denom,
+        ))
+    return results
+
+
+def failure_probability(
+    pc: ProductCode,
+    cfg: SimConfig,
+    *,
+    per_stratum: int = 2000,
+    k_max: int | None = None,
+    threads: int | None = None,
+) -> SimResult:
+    """Estimated probability that a trial does not end in success: the one
+    result of failure_probabilities(pc, [cfg], ...)."""
+    return failure_probabilities(pc, [cfg], per_stratum=per_stratum, k_max=k_max, threads=threads)[0]
 
 
 def _binomial_weights(bits: int, p: float, eps_tail: float, k_max: int | None) -> tuple[dict[int, int], int]:
@@ -637,10 +686,3 @@ def _stratum_errors(
         k = int(errors[t])
         picks[t, :k] = derive_stream(master_seed, DOMAIN_SIM_STRATA, int(indices[t])).choice(bits, k, replace=False)
     return np.repeat(np.arange(errors.size), errors), picks[np.arange(picks.shape[1]) < errors[:, None]]
-
-
-def _stratum_outcomes(pc: ProductCode, cfg: SimConfig, per_stratum: int, *ks: int) -> np.ndarray:
-    """Outcome codes of per_stratum trials in each stratum of ks in turn,
-    classified in one batch."""
-    trial, pos = _stratum_errors(pc.bits, cfg.master_seed, per_stratum, list(ks))
-    return _classify_batch(pc, len(ks) * per_stratum, trial, pos, cfg.d_plus)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qpcodes import cli
 from qpcodes.cli import main
 from qpcodes.construct import extended_hamming, panchenko, shorten
 from qpcodes.product_sim import SimConfig, default_product_code, failure_probability
@@ -244,6 +245,34 @@ def test_table2_subgrid(tmp_path):
     assert {r["method"] for r in rows} == {"plain"}
     for r in rows:
         assert 0.85 <= float(r["estimate"]) <= 1.0
+
+
+@pytest.mark.parametrize("extra", [["--trials", "400"], ["--stratified", "--per-stratum", "20"]])
+def test_table2_unsorted_repeated_dplus_rows_equal_single_cells(tmp_path, extra):
+    # one draw per p serves every listed d_plus, in the listed order
+    grid = tmp_path / "grid.csv"
+    assert main(["table", "--which", "2", "--p", "1e-3,2e-3", "--dplus", "6,3,4,4", *extra,
+                 "--seed", "13", "--out", str(grid)]) == 0
+    rows = read_csv(grid)
+    assert [(r["p"], r["d_plus"]) for r in rows] == [(p, d) for p in ("0.001", "0.002") for d in "6344"]
+    for i, row in enumerate(rows):
+        one = tmp_path / f"one{i}.csv"
+        assert main(["table", "--which", "2", "--p", row["p"], "--dplus", row["d_plus"], *extra,
+                     "--seed", "13", "--out", str(one)]) == 0
+        assert read_csv(one) == [row]
+    assert rows[2] == rows[3]
+    assert len({r["failures"] for r in rows}) > 2
+
+
+@pytest.mark.parametrize("grid", [["--p", "1e-3,1e-2", "--dplus", "4,6,2"], ["--p", "1e-3,1.5", "--dplus", "4"]])
+def test_table2_refuses_a_bad_cell_before_any_trial(tmp_path, monkeypatch, capsys, grid):
+    calls = []
+    monkeypatch.setattr(cli, "failure_probabilities", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "t.csv"
+    assert main(["table", "--which", "2", *grid, "--trials", "50", "--out", str(out)]) == 2
+    assert calls == []
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_table2_stratified_dense_cell(tmp_path):

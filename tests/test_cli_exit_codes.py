@@ -79,6 +79,8 @@ BAD = {
                              {"QPCODES_THREADS": "two"}),
     "erasure-negative-digits": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--digits", "-1", "--out", "e.csv"], {}),
     "table-negative-digits": (["table", "--which", "2", "--p", "1e-1", "--dplus", "3", "--trials", "5", "--digits", "-1", "--out", "t.csv"], {}),
+    # a d_plus below 3 late in the list is refused before the earlier cells run
+    "table-dplus-below-3": (["table", "--which", "2", "--p", "1e-3,1e-2", "--dplus", "3,4,2", "--trials", "5", "--out", "t.csv"], {}),
     "erasure-negative-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "-5000", "--out", "e.csv"], {}),
     "erasure-nan-z": (["erasure", "--code", "eh5", "--rho-min", "4", "--rho-max", "4", "--psi", "--z", "nan", "--out", "e.csv"], {}),
     "erasure-zero-samples": (["erasure", "--code", "pan5", "--rho-min", "4", "--rho-max", "4", "--sample", "0", "--out", "e.csv"], {}),

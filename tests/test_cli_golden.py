@@ -33,6 +33,8 @@ CALLS = [
      "--out", "t2.csv"],
     ["table", "--which", "2", "--stratified", "--p", "1e-2", "--dplus", "4", "--per-stratum", "2",
      "--seed", "5", "--out", "t2_strat.csv"],
+    ["table", "--which", "2", "--stratified", "--p", "1e-2", "--dplus", "3,4,6", "--per-stratum", "2",
+     "--seed", "5", "--out", "t2_strat_grid.csv"],
     ["simulate", "--p", "1e-3", "--dplus", "4", "--trials", "200", "--seed", "7", "--out", "sim.json"],
     ["simulate", "--p", "1.2e-3", "--dplus", "4", "--trials", "1", "--stratified",
      "--per-stratum", "20", "--kmax", "12", "--seed", "7", "--out", "sim_strat.json"],
@@ -86,6 +88,9 @@ DIGESTS = {
     "t2_strat.csv": "acc5dcce797b2bc84dea5ef1f14a06f3b27114cb33fd7b629635dbf28a1e5dbe",
     "t2_strat.csv.json": "76a1000111764484c48284432067ce3e3a58a03e118e7bdc627a0149c22317ae",
     "t2_strat.csv.manifest.json": "a52ae30821a277d6b846c6a5d3dba6fd45caf139223f014f2133cb2c4df645c0",
+    "t2_strat_grid.csv": "a754f3ec0823e89102be61af18edc4bb34d9ba00ab8d98f9d1bf17852a7d0f96",
+    "t2_strat_grid.csv.json": "f47a4342d851d82a0c638eb08fbfb988b90598fa8456b6276b8d54820f4f0a42",
+    "t2_strat_grid.csv.manifest.json": "85008e0659b3d8dc1579f7a5aef589af051aadc25347a746c3fad50d23a32aed",
 }
 
 

@@ -240,6 +240,26 @@ def test_exact_route_rule(monkeypatch, cell):
     assert taken == [route]
 
 
+def test_gaussian_binomial_counts_subspaces():
+    # the q-Pascal rule [m, k] = [m-1, k-1] + 2^k [m-1, k], from [0, 0] = 1,
+    # with 0 outside 0 <= k <= m
+    for m in range(7):
+        for k in range(-1, m + 4):
+            want = int(k == 0) if m == 0 else (
+                erasure._gaussian_binomial(m - 1, k - 1) + 2**k * erasure._gaussian_binomial(m - 1, k)
+            )
+            assert erasure._gaussian_binomial(m, k) == (want if 0 <= k <= m else 0), (m, k)
+    # and by brute force: every subspace of GF(2)^m, spanned one vector at a time
+    for m in range(6):
+        spaces = {frozenset([0])}
+        frontier = set(spaces)
+        while frontier:
+            frontier = {u | {x ^ v for x in u} for u in frontier for v in range(1 << m)} - spaces
+            spaces |= frontier
+        dims = [len(u).bit_length() - 1 for u in spaces]
+        assert [dims.count(k) for k in range(m + 4)] == [erasure._gaussian_binomial(m, k) for k in range(m + 4)]
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_lattice_progress_fires_once_per_pivot_set(threads, monkeypatch):
     # reversed, eh5 cannot peel, so its parts are the pivot sets of GF(2)^5

@@ -26,12 +26,12 @@ from qpcodes.product_sim import (
     _flip_positions,
     _floyd_picks,
     _stratum_errors,
-    _stratum_outcomes,
     _syndromes,
     channel,
     decode,
     default_product_code,
     encode,
+    failure_probabilities,
     failure_probability,
 )
 from qpcodes.rng import DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, stream_uniforms
@@ -507,6 +507,50 @@ def test_failures_monotone_in_d_plus():
     assert counts[0] > counts[-1]
 
 
+SHARED = [("plain", 1e-3, 1), ("plain", 1e-3, 2), ("plain", 1e-2, 1), ("plain", 1e-2, 2),
+          ("stratified", 1.2e-3, 1), ("stratified", 1.2e-3, 2)]
+
+
+@pytest.mark.parametrize("strategy, p, threads", SHARED)
+def test_shared_trials_equal_separate_runs(strategy, p, threads):
+    # one draw classified under every d_plus gives, field for field, what a
+    # run per d_plus gives; unsorted and repeated d_plus keep their order
+    cfgs = [SimConfig(p=p, d_plus=d, trials=700, master_seed=29, strategy=strategy) for d in (3, 4, 5, 6, 4)]
+    shared = failure_probabilities(PC, cfgs, per_stratum=30, threads=threads)
+    separate = [failure_probability(PC, cfg, per_stratum=30, threads=threads) for cfg in cfgs]
+    fields = ("d_plus", "trials", "failures", "miscorrections", "estimate", "ci95", "tail_bound")
+    for a, b in zip(shared, separate):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    assert shared == separate
+    # at p = 1e-2 every trial fails under every d_plus; below it, d_plus shows
+    assert len({res.failures for res in shared}) > 1 or p == 1e-2
+
+
+@pytest.mark.parametrize("strategy", ["plain", "stratified"])
+def test_shared_counts_are_kept_per_config(monkeypatch, strategy):
+    # a stand-in classifier with one outcome per d_plus: each config's
+    # failures and miscorrections are its own row's
+    outcome = {3: 0, 4: 1, 5: 2}
+
+    def fake(pc, size, trial, pos, d_plus):
+        return np.array([[outcome[d]] * size for d in d_plus], dtype=np.int8)
+
+    monkeypatch.setattr(product_sim, "_classify_batch", fake)
+    cfgs = [SimConfig(p=1e-3, d_plus=d, trials=3000, master_seed=3, strategy=strategy) for d in (5, 3, 4)]
+    res = failure_probabilities(PC, cfgs, per_stratum=200, threads=2)
+    n = res[0].trials
+    assert [(r.d_plus, r.failures, r.miscorrections) for r in res] == [(5, n, n), (3, 0, 0), (4, n, 0)]
+
+
+def test_shared_configs_must_differ_only_in_d_plus():
+    good = SimConfig(p=1e-3, d_plus=4, trials=50, master_seed=3)
+    assert failure_probabilities(PC, []) == []
+    for field, value in (("p", 2e-3), ("master_seed", 4), ("trials", 51), ("strategy", "stratified")):
+        other = SimConfig(**{**vars(good), field: value, "d_plus": 5})
+        with pytest.raises(PreconditionError, match="only in d_plus"):
+            failure_probabilities(PC, [good, other])
+
+
 def test_binomial_weights_are_exact():
     bits, b, c = 5184, 99, 100  # p = 1/100
     # P(K=k) * c^bits = C(bits,k) b^(bits-k), from Pascal's row and powers of b
@@ -561,7 +605,8 @@ def test_batch_classifier_matches_per_trial_decode():
     @given(
         pc=st.sampled_from([PC, SKEW]),
         seed=st.integers(0, 2**32 - 1),
-        d_plus=st.integers(3, 9),
+        # caps in any order, repeats allowed: one classification serves them all
+        d_plus=st.lists(st.integers(3, 9), min_size=1, max_size=4),
         p=st.sampled_from([0.0, 2e-4, 1e-3, 3e-3, 1e-2]),
         plants=st.lists(st.sampled_from(["row", "column", "grid", "diagonal"]), max_size=3),
     )
@@ -582,11 +627,13 @@ def test_batch_classifier_matches_per_trial_decode():
                 else:
                     errors[t][np.ix_(rows, cols)] ^= 1
         trial, row, col = np.nonzero(errors)
-        codes = _classify_batch(pc, len(errors), trial, row * pc.n_row + col, d_plus)
+        codes = _classify_batch(pc, len(errors), trial, row * pc.n_row + col, tuple(d_plus))
         names = {"success": 0, "detected_failure": 1, "miscorrection": 2}
-        expect = [names[decode(pc, e, d_plus, ZERO).outcome] for e in errors]
-        assert codes.tolist() == expect
-        seen.update(expect)
+        assert codes.shape == (len(d_plus), len(errors))
+        for got, dp in zip(codes, d_plus):
+            expect = [names[decode(pc, e, dp, ZERO).outcome] for e in errors]
+            assert got.tolist() == expect, dp
+            seen.update(expect)
 
     check()
     assert seen == {0, 1, 2}
@@ -596,9 +643,8 @@ def test_batch_classifier_without_errors():
     # a chunk with no error at all, and the k=0 stratum: every trial is a
     # clean success and no array is laid out for decode
     none = np.zeros(0, dtype=np.int64)
-    assert _classify_batch(PC, 9, none, none, 4).tolist() == [0] * 9
-    cfg = SimConfig(p=1e-3, d_plus=3, trials=1, master_seed=4, strategy="stratified")
-    assert _stratum_outcomes(PC, cfg, 6, 0).tolist() == [0] * 6
+    assert _classify_batch(PC, 9, none, none, (4, 3)).tolist() == [[0] * 9] * 2
+    assert _classify_batch(PC, 6, *_stratum_errors(PC.bits, 4, 6, [0]), (3,)).tolist() == [[0] * 6]
 
 
 def test_stratified_matches_plain():

@@ -56,7 +56,7 @@ def test_seeds_past_2_63_keep_their_streams_apart():
 def test_raw_words_equal_philox_random_raw(seed):
     indices = [0, 7, (5 << 32) | 3, (1 << 56) - 1]
     for domain in (DOMAIN_ERASURE_SAMPLING, DOMAIN_SIM_TRIALS, DOMAIN_SIM_STRATA, 255):
-        for blocks in (0, 1, 3):
+        for blocks in (0, 1, 3, 32):
             # the key words wrap past 2^64 as they are bumped, warning-free
             with np.errstate(all="raise"):
                 got = stream_words(seed, domain, np.array(indices, dtype=np.uint64), blocks)
