@@ -36,7 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -78,7 +79,7 @@ _SAMPLE_CHUNK = 1 << 20
 # kernel's scratch arrays, so a chunk's memory does not grow with its size.
 # Not part of the sampling plan: the batches read one stream in order
 _HIT_BATCH = 1 << 16
-# subspaces per lattice slice: keeps each slice's span table small
+# subspaces per lattice slice (rounded down to a power of two): bounds its span
 _LATTICE_SLICE = 1 << 12
 
 
@@ -284,7 +285,7 @@ def _mobius_weight(rank: int, rho: int, i: int) -> int:
     return (-1) ** (rho - i) * 2 ** math.comb(rho - i, 2) * _gaussian_binomial(rank - i, rho - i)
 
 
-def _lattice_term(cnt: np.ndarray, s: int, m: int, rho: int, pivots: tuple[int, ...]) -> int:
+def _lattice_term(cnt: np.ndarray, binoms: list, s: int, m: int, rho: int, pivots: tuple) -> int:
     """The share of S_rho from the subspaces U of GF(2)^m x GF(2)^s whose
     projection W onto the base space GF(2)^s has these echelon pivots.
 
@@ -293,37 +294,37 @@ def _lattice_term(cnt: np.ndarray, s: int, m: int, rho: int, pivots: tuple[int, 
     cnt over W; and [m choose k]_2 * 2^(w(m-k)) spaces U of dimension w + k
     project onto a W of dimension w with such a K. Each W thus weighs
     sum over k <= min(m, rho - w) of [m choose k]_2 * 2^(w(m-k)) *
-    C(2^k c, rho) * mu(w + k), mu as in _mobius_weight at rank s + m.
-    With m = 0 that is C(c, rho) * mu(w), the plain Moebius term.
+    C(2^k c, rho) * mu(w + k), mu as in _mobius_weight at rank s + m, and
+    binoms[k][c] = C(2^k c, rho). With m = 0 that is C(c, rho) * mu(w).
 
-    Basis vector i has lowest bit pivots[i] and a free bit at each higher
-    non-pivot position; the F free bits of all vectors count through
-    0..2^F-1, one subspace W each, in slices of _LATTICE_SLICE.
+    Basis vector i is a word of tables[i]: those with lowest bit pivots[i]
+    and no bit at another pivot, in increasing order. A counter's mixed-radix
+    digits index the tables, one W per value, in slices of a power of two
+    (at most _LATTICE_SLICE). Within a slice each digit runs over a run of
+    its table, so the slice's span is XOR-filled row block by row block from
+    those runs, broadcast over a grid of the digits; x sums cnt over the span
+    in cnt's dtype, which holds it as no x exceeds the base's columns.
     """
     w = len(pivots)
-    word = np.min_scalar_type((1 << s) - 1)
-    free = [(i, q) for i, p in enumerate(pivots) for q in range(p + 1, s) if q not in pivots]
-    lead = np.array([1 << p for p in pivots], dtype=np.int64)[:, None]
-    subspaces = 1 << len(free)
+    words = np.arange(cnt.size, dtype=np.min_scalar_type(cnt.size - 1))
+    free = words[words & sum(1 << p for p in pivots) == 0]
+    tables = [free[:: 1 << (p - i)] | words[1 << p] for i, p in enumerate(pivots)]
+    offs = list(accumulate([0] + [t.size.bit_length() - 1 for t in tables]))
+    step = 1 << min(offs[-1], _LATTICE_SLICE.bit_length() - 1)
+    grid = [min(t.size, max(1, step >> o)) for t, o in zip(tables, offs)]
+    span = np.zeros([1 << w] + grid[::-1], dtype=words.dtype)
     weights = [
         _gaussian_binomial(m, k) * 2 ** (w * (m - k)) * _mobius_weight(s + m, rho, w + k)
         for k in range(min(m, rho - w) + 1)
     ]
     acc = 0
-    for lo in range(0, subspaces, _LATTICE_SLICE):
-        t = np.arange(lo, min(lo + _LATTICE_SLICE, subspaces), dtype=np.int64)
-        basis = np.repeat(lead, t.size, axis=1)
-        for k, (i, q) in enumerate(free):
-            basis[i] |= ((t >> k) & 1) << q
-        span = np.zeros((1, t.size), dtype=word)
-        for b in basis.astype(word):
-            span = np.concatenate([span, span ^ b])
-        x = cnt[span].sum(axis=0, dtype=np.intp)
-        acc += sum(
-            ways * sum(a * math.comb(c << k, rho) for k, a in enumerate(weights))
-            for c, ways in enumerate(np.bincount(x).tolist())
-            if ways
-        )
+    for lo in range(0, 1 << offs[-1], step):
+        for i, (t, o, n) in enumerate(zip(tables, offs, grid)):
+            d = (lo >> o) & (t.size - 1)
+            np.bitwise_xor(span[: 1 << i], t[d : d + n].reshape([n] + [1] * i), out=span[1 << i : 2 << i])
+        x = np.take(cnt, span).sum(axis=0, dtype=cnt.dtype)
+        ways = np.bincount(x.ravel(), minlength=len(binoms[0])).tolist()
+        acc += sum(a * sum(map(mul, ways, b)) for a, b in zip(weights, binoms))
     return acc
 
 
@@ -387,8 +388,9 @@ def _count_on_lattice(
     cols = _column_words(base)
     s = base.rank()
     cnt = np.bincount(cols.astype(np.intp), minlength=1 << s).astype(np.min_scalar_type(base.cols))
+    binoms = [[math.comb(c << k, rho) for c in range(base.cols + 1)] for k in range(m + 1)]
     pivot_sets = [p for j in range(rho + 1) for p in combinations(range(s), j)]
-    return _summed(partial(_lattice_term, cnt, s, m, rho), pivot_sets, threads, progress)
+    return _summed(partial(_lattice_term, cnt, binoms, s, m, rho), pivot_sets, threads, progress)
 
 
 def s_rho_exact(
@@ -465,8 +467,11 @@ class SampleEstimate:
 
 
 def _count_hits(cols: np.ndarray, idx: np.ndarray) -> int:
-    """Columns of idx (rho, m) whose words in cols are independent."""
-    return int(np.count_nonzero(independent_words(np.take(cols, idx))))
+    """Columns of idx (rho, m) with independent words, gathered one intp row at a time."""
+    vals = np.empty(idx.shape, dtype=cols.dtype)
+    for t in range(idx.shape[0]):
+        np.take(cols, idx[t], out=vals[t])
+    return int(np.count_nonzero(independent_words(vals)))
 
 
 def _sample_chunk(cols: np.ndarray, n: int, rho: int, master_seed: int, job: tuple[int, int]) -> int:
@@ -480,8 +485,8 @@ def _sample_chunk(cols: np.ndarray, n: int, rho: int, master_seed: int, job: tup
     rng = derive_stream(master_seed, DOMAIN_ERASURE_SAMPLING, index)
     hits = got = 0
     while got < size:
-        draw = rng.integers(0, n, size=(min(size - got, _HIT_BATCH), rho), dtype=np.uint32)
-        idx = np.ascontiguousarray(draw.T, dtype=np.min_scalar_type(n - 1))
+        idx = rng.integers(0, n, size=(min(size - got, _HIT_BATCH), rho), dtype=np.uint32)
+        idx = np.ascontiguousarray(idx.T, dtype=np.min_scalar_type(n - 1))
         repeated = np.zeros(idx.shape[1], dtype=bool)
         for i, j in combinations(range(rho), 2):
             repeated |= idx[i] == idx[j]
@@ -626,6 +631,8 @@ def erasure_report(
     sample: SampleEstimate | None = None
     if chosen == "exact":
         s_exact = s_rho_exact(code, rho)
+        if is_exact_regime(d, rho) and s_exact != raw_psi:
+            raise ConsistencyError(f"S={s_exact} differs from psi={raw_psi}, exact at d={d}, rho={rho}")
     elif chosen == "sampled":
         sample = s_rho_sampled(code, rho, samples, master_seed)
     bounds = delta_entropy_bound(d, rho, z) if z is not None and d <= rho else None

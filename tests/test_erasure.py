@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -260,6 +261,76 @@ def test_gaussian_binomial_counts_subspaces():
         assert [dims.count(k) for k in range(m + 4)] == [erasure._gaussian_binomial(m, k) for k in range(m + 4)]
 
 
+def column_matrix(cols: list[int], nrows: int) -> BitMatrix:
+    """The nrows x len(cols) matrix whose column j is the word cols[j]."""
+    return BitMatrix(tuple(sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(nrows)), len(cols))
+
+
+def doubled(h: BitMatrix) -> BitMatrix:
+    """h under one length doubling: a top row 0...0|1...1 over h twice."""
+    n = h.cols
+    return BitMatrix((((1 << n) - 1) << n,) + tuple(r | r << n for r in h.rows), 2 * n)
+
+
+def with_zero_and_repeat(h: BitMatrix) -> BitMatrix:
+    """h with a zero column and a copy of its first column appended."""
+    cols = h.column_ints()
+    return column_matrix(cols + [0, cols[0]], h.nrows)
+
+
+# name: (H, rhos); each H has zero and repeated columns. The doubled one
+# peels to a rank-4 base under m = 1; rank 10 stays at rho = 1 here, where
+# its largest pivot set still needs 512 slices of one subspace
+LATTICE_CASES = {
+    "rank3": (column_matrix([0, 1, 2, 3, 3, 4, 0, 5, 6, 7, 1], 3), (1, 2, 3)),
+    "rank5": (with_zero_and_repeat(structured_matrix(random.Random(5), 6, 5, 10)), (2, 3, 4, 5)),
+    "rank6": (with_zero_and_repeat(structured_matrix(random.Random(6), 6, 6, 12)), (3, 4)),
+    "rank5-doubled": (doubled(with_zero_and_repeat(structured_matrix(random.Random(4), 4, 4, 6))), (3, 4, 5)),
+    "rank10": (with_zero_and_repeat(structured_matrix(random.Random(10), 10, 10, 14)), (1,)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("slice_", [1, 3, 4096])
+def test_lattice_equals_enumeration_and_brute_force(monkeypatch, work_ceiling, slice_, threads):
+    monkeypatch.setattr(erasure, "_LATTICE_SLICE", slice_)
+    with work_ceiling(512 * 2**20, 60):
+        for name, (h, rhos) in LATTICE_CASES.items():
+            for rho in rhos:
+                expect = brute_s_rho(h, rho)
+                assert erasure._count_on_lattice(h, rho, threads, None) == expect, (name, rho)
+                assert erasure._count_by_enumeration(h, rho, threads, None) == expect, (name, rho)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_rank_10_lattice_equals_brute_force(work_ceiling, threads):
+    # 175,275 subspaces of dimension <= 2; pivot set (0, 1) alone takes 16 slices
+    h = LATTICE_CASES["rank10"][0]
+    assert erasure._peel(h) == (h, 0) and h.rank() == 10
+    with work_ceiling(512 * 2**20, 60):
+        assert erasure._count_on_lattice(h, 2, threads, None) == brute_s_rho(h, 2)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_lattice_counts_reach_the_top_of_their_dtype(n, rank):
+    # every column lies in GF(2)^rank, which the lattice visits as a subspace
+    # at rho = rank, so x_U = n there: 255 fills uint8, and 256 needs uint16
+    rng = random.Random(n * rank)
+    cols = list(range(1 << rank)) + [rng.randrange(1 << rank) for _ in range(n - (1 << rank))]
+    h = column_matrix(cols, rank)
+    assert erasure._peel(h)[1] == 0
+    assert np.min_scalar_type(n) == (np.uint8 if n == 255 else np.uint16)
+    per_word = Counter(cols)
+    for rho in range(1, rank + 1):
+        expect = sum(
+            math.prod(per_word[v] for v in words)
+            for words in combinations(range(1, 1 << rank), rho)
+            if gf2_rank(list(words)) == rho
+        )
+        assert erasure._count_on_lattice(h, rho, 2, None) == expect, rho
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_lattice_progress_fires_once_per_pivot_set(threads, monkeypatch):
     # reversed, eh5 cannot peel, so its parts are the pivot sets of GF(2)^5
@@ -453,7 +524,7 @@ def test_one_row_batches_read_the_same_rows(monkeypatch):
 
 
 def test_sampler_memory_does_not_grow_with_samples():
-    # a 2^16-row batch of pan8 rho = 7 peaks near 6.5 MB; holding a whole
+    # a 2^16-row batch of pan8 rho = 7 peaks near 2.3 MB; holding a whole
     # 2^20-sample chunk's draw at once would take over 60 MB
     s_rho_sampled(panchenko(8), 7, 1, 11, threads=1)  # first-call set-up
     peaks = []
@@ -465,6 +536,23 @@ def test_sampler_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_one_batch_gathers_without_a_batch_wide_intp_copy():
+    # a 2^16-row batch of pan8 rho = 7: 0.46 MB of uint8 indices and as many
+    # gathered words. Widening the whole batch to intp first (3.7 MB) peaked
+    # at 4.1 MB; one row at a time it peaks near 1.05 MB
+    cols = erasure._column_words(panchenko(8).H)
+    idx = np.random.default_rng(1).integers(0, 80, size=(7, 1 << 16), dtype=np.uint8)
+    erasure._count_hits(cols, idx[:, :16])  # first-call set-up
+    tracemalloc.start()
+    try:
+        hits = erasure._count_hits(cols, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == erasure._count_hits(cols, idx.astype(np.int64))
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_sampling_validation():
@@ -709,6 +797,29 @@ def test_report_psi_bound_path_and_z():
 def test_report_delta_monotone_in_rho():
     deltas = [erasure_report(pan5, rho).delta_exact for rho in range(0, 6)]
     assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+
+
+@pytest.mark.parametrize("rho,off", [(5, -1), (5, 1), (6, -1)])
+def test_report_checks_a_count_against_psi_where_psi_is_exact(monkeypatch, rho, off):
+    # pan6 (d = 4): psi = S = 13,248 at rho = 5, inside the exact regime;
+    # at rho = 6 psi = 19,440 is only a floor under S = 20,480
+    code = panchenko(6)
+    true = s_rho_exact(code, rho)
+    monkeypatch.setattr(erasure, "s_rho_exact", lambda c, r: true + off)
+    if is_exact_regime(4, rho):
+        with pytest.raises(ConsistencyError, match="psi"):
+            erasure_report(code, rho)
+    else:
+        assert erasure_report(code, rho).s_rho_exact == true + off
+
+
+def test_cli_exits_3_when_a_count_misses_an_exact_psi(monkeypatch, tmp_path, capsys):
+    true = s_rho_exact(panchenko(6), 5)
+    monkeypatch.setattr(erasure, "s_rho_exact", lambda c, r: true - 1)
+    argv = ["erasure", "--code", "panchenko6", "--rho-min", "5", "--rho-max", "5", "--exact"]
+    assert cli.main(argv + ["--out", str(tmp_path / "e.csv")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "psi" in err, err
 
 
 def test_report_invariant_enforcement():

@@ -1,9 +1,6 @@
 import random
-import resource
-import signal
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -271,37 +268,9 @@ def test_spectrum_by_doubling_refuses_off_family_codes():
         spectrum_by_doubling(bare)
 
 
-@contextmanager
-def work_ceiling(extra_bytes: int, seconds: float):
-    """Cap this process's address space a little above its size now, and its
-    time, so a route that starts work it should have refused fails fast
-    instead of filling or holding the host. An overrun fails the test with
-    one line: the alarm can land inside big-int code, whose traceback
-    pytest cannot format."""
-    with open("/proc/self/statm") as f:
-        size = int(f.read().split()[0]) * resource.getpagesize()
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = size + extra_bytes if hard == resource.RLIM_INFINITY else min(size + extra_bytes, hard)
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except TimeoutError as exc:
-        pytest.fail(str(exc), pytrace=False)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("route", [oracle_spectrum, spectrum_by_doubling])
 @pytest.mark.parametrize("r", [18, 19])
-def test_spectrum_past_the_budget_is_refused_in_little_memory(route, r):
+def test_spectrum_past_the_budget_is_refused_in_little_memory(work_ceiling, route, r):
     # eh18 and eh19 are under the length cap, but their spectra would take
     # about 2 and 8 GiB
     code = extended_hamming(r)
@@ -316,7 +285,7 @@ def test_spectrum_past_the_budget_is_refused_in_little_memory(route, r):
 
 
 @pytest.mark.parametrize("code", [panchenko(15), extended_hamming(14)], ids=["pan15", "eh14"])
-def test_doubling_past_its_work_budget_is_refused(code):
+def test_doubling_past_its_work_budget_is_refused(work_ceiling, code):
     # the bit budget admits both, but the chain would run for minutes or more
     with work_ceiling(512 * 2**20, 5), pytest.raises(BudgetError, match="work budget"):
         spectrum_by_doubling(code)
