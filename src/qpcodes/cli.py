@@ -41,9 +41,7 @@ from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix
 from .product_sim import (
     TABLE2_REFERENCE,
-    ProductCode,
     SimConfig,
-    SimResult,
     default_product_code,
     failure_probabilities,
     failure_probability,

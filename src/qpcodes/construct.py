@@ -86,7 +86,7 @@ class CodeSpec:
         return cls(
             n=int(obj["n"]),
             r=int(obj["r"]),
-            d=obj.get("d"),
+            d=None if obj.get("d") is None else int(obj["d"]),
             lineage=Lineage.from_json(obj.get("lineage", {})),
         )
 

@@ -11,13 +11,12 @@ decoding. Three roads to it live here:
   subset-sampling estimate when C(n,rho) is out of budget. The count has
   two exact routes that return the same integer: Moebius inversion on the
   subspace lattice, and the pruned enumeration of rho-subsets. The lattice
-  first peels the length doublings off H (read from the matrix, as the
-  family builders write them), leaving a base of rank s under m doublings,
-  whose columns stand for GF(2)^m x the base's columns. It is fed by the
-  number of base columns inside each subspace of GF(2)^s of dimension
-  <= rho, and runs when those subspaces number no more than the C(n,rho)
-  subsets, the enumeration otherwise. A matrix with no doubling to peel
-  is its own base, m = 0;
+  peels the length doublings off H (read from the matrix), leaving a base
+  of rank s under m doublings (m = 0 when none peel); counts the base's
+  support weights, the subspaces of GF(2)^s of each dimension <= rho that
+  hold c base columns; lifts them through the doublings; and weighs them
+  by the Moebius function. It runs when those subspaces number no more
+  than the C(n,rho) subsets, the enumeration otherwise;
 * psi_tilde and friends: the recursive refinement of psi driven by spectra
   of shortened codes, plus the closed-form entropy floors.
 
@@ -33,11 +32,11 @@ independent, so the repeats are only counted, to redraw that many rows.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -69,6 +68,7 @@ __all__ = [
 ]
 
 SpectrumProvider = Callable[[int], WeightSpectrum]
+Progress = Callable[[int, int], None] | None
 
 _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 _SLICE = 1 << 22
@@ -285,17 +285,17 @@ def _mobius_weight(rank: int, rho: int, i: int) -> int:
     return (-1) ** (rho - i) * 2 ** math.comb(rho - i, 2) * _gaussian_binomial(rank - i, rho - i)
 
 
-def _lattice_term(cnt: np.ndarray, binoms: list, s: int, m: int, rho: int, pivots: tuple) -> int:
-    """The share of S_rho from the subspaces U of GF(2)^m x GF(2)^s whose
-    projection W onto the base space GF(2)^s has these echelon pivots.
+def _mobius_sum(lifted: Counter, rank: int, rho: int) -> int:
+    """S_rho from lifted[i, x], the i-dimensional subspaces U of GF(2)^rank
+    holding x columns: a rho-set is independent iff it spans a rho-space, and
+    C(x, rho) counts the rho-sets in U. The one lattice step that reads rho."""
+    mu = [_mobius_weight(rank, rho, i) for i in range(rho + 1)]
+    return sum(a * math.comb(x, rho) * mu[i] for (i, x), a in lifted.items() if i <= rho)
 
-    The columns are GF(2)^m x the base columns, so if U meets GF(2)^m x 0 in
-    a space K of dimension k, it holds x_U = 2^k * c columns, c = the sum of
-    cnt over W; and [m choose k]_2 * 2^(w(m-k)) spaces U of dimension w + k
-    project onto a W of dimension w with such a K. Each W thus weighs
-    sum over k <= min(m, rho - w) of [m choose k]_2 * 2^(w(m-k)) *
-    C(2^k c, rho) * mu(w + k), mu as in _mobius_weight at rank s + m, and
-    binoms[k][c] = C(2^k c, rho). With m = 0 that is C(c, rho) * mu(w).
+
+def _lattice_term(cnt: np.ndarray, pivots: tuple) -> np.ndarray:
+    """hist[c]: the subspaces W of the base space GF(2)^s with these echelon
+    pivots that hold c base columns, cnt[v] the base columns equal to word v.
 
     Basis vector i is a word of tables[i]: those with lowest bit pivots[i]
     and no bit at another pivot, in increasing order. A counter's mixed-radix
@@ -305,35 +305,27 @@ def _lattice_term(cnt: np.ndarray, binoms: list, s: int, m: int, rho: int, pivot
     those runs, broadcast over a grid of the digits; x sums cnt over the span
     in cnt's dtype, which holds it as no x exceeds the base's columns.
     """
-    w = len(pivots)
     words = np.arange(cnt.size, dtype=np.min_scalar_type(cnt.size - 1))
     free = words[words & sum(1 << p for p in pivots) == 0]
     tables = [free[:: 1 << (p - i)] | words[1 << p] for i, p in enumerate(pivots)]
     offs = list(accumulate([0] + [t.size.bit_length() - 1 for t in tables]))
     step = 1 << min(offs[-1], _LATTICE_SLICE.bit_length() - 1)
     grid = [min(t.size, max(1, step >> o)) for t, o in zip(tables, offs)]
-    span = np.zeros([1 << w] + grid[::-1], dtype=words.dtype)
-    weights = [
-        _gaussian_binomial(m, k) * 2 ** (w * (m - k)) * _mobius_weight(s + m, rho, w + k)
-        for k in range(min(m, rho - w) + 1)
-    ]
-    acc = 0
+    span = np.zeros([1 << len(pivots)] + grid[::-1], dtype=words.dtype)
+    hist = np.zeros(int(cnt.sum()) + 1, dtype=np.int64)
     for lo in range(0, 1 << offs[-1], step):
         for i, (t, o, n) in enumerate(zip(tables, offs, grid)):
             d = (lo >> o) & (t.size - 1)
             np.bitwise_xor(span[: 1 << i], t[d : d + n].reshape([n] + [1] * i), out=span[1 << i : 2 << i])
         x = np.take(cnt, span).sum(axis=0, dtype=cnt.dtype)
-        ways = np.bincount(x.ravel(), minlength=len(binoms[0])).tolist()
-        acc += sum(a * sum(map(mul, ways, b)) for a, b in zip(weights, binoms))
-    return acc
+        hist += np.bincount(x.ravel(), minlength=hist.size)
+    return hist
 
 
-def _summed(
-    counter: Callable, parts, threads: int | None, progress: Callable[[int, int], None] | None
-) -> int:
-    """Sum of counter over parts on thread_map's workers; progress(done,
-    total) fires once per part, and needs len(parts). An integer sum, so
-    any thread count gives the same total."""
+def _summed(counter: Callable, parts, threads: int | None, progress: Progress):
+    """Sum of counter's ints or int64 arrays (which hold any count a walk could
+    finish) over parts on thread_map's workers, exact and so the same for any
+    thread count; progress(done, total) fires once per part, and needs len(parts)."""
     out = 0
     with thread_map(counter, parts, threads) as counts:
         for done, count in enumerate(counts, 1):
@@ -343,9 +335,7 @@ def _summed(
     return out
 
 
-def _count_by_enumeration(
-    h: BitMatrix, rho: int, threads: int | None, progress: Callable[[int, int], None] | None
-) -> int:
+def _count_by_enumeration(h: BitMatrix, rho: int, threads: int | None, progress: Progress) -> int:
     """S_rho for 1 <= rho by the pruned prefix-tree walk, one part per first column."""
     counter = partial(_count_independent_below, _column_words(h), h.cols, rho)
     return _summed(counter, range(h.cols - rho + 1), threads, progress)
@@ -369,28 +359,40 @@ def _peel(h: BitMatrix) -> tuple[BitMatrix, int]:
     return h, m
 
 
-def _count_on_lattice(
-    h: BitMatrix, rho: int, threads: int | None, progress: Callable[[int, int], None] | None
-) -> int:
-    """S_rho by Moebius inversion on the subspace lattice, one part per
-    echelon pivot set of dimension <= rho in the space GF(2)^s of the base
-    that _peel leaves; H's columns are GF(2)^m x the base's.
+def _lift(hist: np.ndarray, m: int) -> Counter:
+    """lifted[i, x]: the i-dimensional U in GF(2)^m x GF(2)^s holding x of
+    the columns GF(2)^m x the base's, from hist[w][c] on the base. U projects
+    onto some W, meets GF(2)^m x 0 in some K of dimension k, has dimension
+    w + k and holds 2^k c columns; [m choose k]_2 * 2^(w(m-k)) U share a W and k."""
+    lifted: Counter = Counter()
+    for w, c in np.argwhere(hist).tolist():
+        for k in range(m + 1):
+            lifted[w + k, c << k] += _gaussian_binomial(m, k) * 2 ** (w * (m - k)) * int(hist[w, c])
+    return lifted
 
-    A rho-set is independent iff it spans a rho-dimensional space, and
-    C(x_U, rho) counts the rho-sets inside U, so with mu the Moebius
-    function of the lattice of GF(2)^rank(H), S_rho = sum over dim U <= rho
-    of C(x_U, rho) * sum over dim V = rho, V >= U of mu(U, V). _lattice_term
-    sums the U above each base subspace W at once; with m = 0 the base is
-    H and each U is its own W. Zero and repeated columns count through
-    cnt, the number of base columns per word.
-    """
-    base, m = _peel(h)
-    cols = _column_words(base)
+
+def _support_weights(base: BitMatrix, dims: range, threads: int | None, progress: Progress) -> np.ndarray:
+    """hist[w][c]: the w-dimensional subspaces W of the base's GF(2)^s that
+    hold c of its columns, for w in dims (other rows 0), one part per echelon
+    pivot set. W's annihilator is an (s-w)-dimensional subcode of the base's
+    dual, zero on just those columns: hist is the dual's support weight
+    distribution, hist[s-1][c] = B_{n-c} for c < n, and hist[s][n] = 1."""
     s = base.rank()
-    cnt = np.bincount(cols.astype(np.intp), minlength=1 << s).astype(np.min_scalar_type(base.cols))
-    binoms = [[math.comb(c << k, rho) for c in range(base.cols + 1)] for k in range(m + 1)]
-    pivot_sets = [p for j in range(rho + 1) for p in combinations(range(s), j)]
-    return _summed(partial(_lattice_term, cnt, binoms, s, m, rho), pivot_sets, threads, progress)
+    cnt = np.bincount(_column_words(base).astype(np.intp), minlength=1 << s)
+    cnt = cnt.astype(np.min_scalar_type(base.cols))
+    level = np.eye(dims[-1] + 1, dtype=np.int64)  # a part's histogram goes to row w
+    parts = [p for w in dims for p in combinations(range(s), w)]
+    return _summed(lambda p: np.outer(level[len(p)], _lattice_term(cnt, p)), parts, threads, progress)
+
+
+def _count_on_lattice(h: BitMatrix, rho: int, threads: int | None, progress: Progress) -> int:
+    """S_rho by Moebius inversion on the subspace lattice of GF(2)^rank(H):
+    the support weights of the base that _peel leaves, up to dimension rho,
+    lifted through its m doublings, then weighed by _mobius_sum."""
+    base, m = _peel(h)
+    s = base.rank()
+    hist = _support_weights(base, range(min(rho, s) + 1), threads, progress)
+    return _mobius_sum(_lift(hist, m), s + m, rho)
 
 
 def s_rho_exact(
@@ -399,7 +401,7 @@ def s_rho_exact(
     *,
     budget: int = 10**10,
     threads: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
+    progress: Progress = None,
 ) -> int:
     """Exact number of correctable weight-rho erasure patterns.
 

@@ -8,7 +8,7 @@ import pytest
 
 from qpcodes import cli
 from qpcodes.cli import main
-from qpcodes.construct import extended_hamming, panchenko, shorten
+from qpcodes.construct import CodeSpec, extended_hamming, panchenko, shorten
 from qpcodes.product_sim import SimConfig, default_product_code, failure_probability
 
 
@@ -133,6 +133,22 @@ def test_sidecar_distance_is_checked(tmp_path):
     sidecar.write_text(json.dumps(spec))
     assert main(["erasure", "--code", str(mat), "--rho-min", "4", "--rho-max", "4",
                  "--psi", "--out", str(out)]) == 0
+
+
+def test_sidecar_distance_written_as_a_string_is_read_as_a_number(tmp_path):
+    # "d": "4" reads as d=4, as "n" and "r" are read; a null d stays unset
+    mat = tmp_path / "m.txt"
+    assert main(["construct", "--family", "eh", "--r", "5", "--out", str(mat)]) == 0
+    sidecar = Path(str(mat) + ".json")
+    spec = json.loads(sidecar.read_text())
+    assert spec["d"] == 4
+    argv = ["erasure", "--code", str(mat), "--rho-min", "4", "--rho-max", "5", "--psi", "--out"]
+    assert main(argv + [str(tmp_path / "int.csv")]) == 0
+    sidecar.write_text(json.dumps(dict(spec, d="4")))
+    assert main(argv + [str(tmp_path / "str.csv")]) == 0
+    assert (tmp_path / "str.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
+    assert main(["spectrum", "--code", str(mat), "--out", str(tmp_path / "s.json")]) == 0
+    assert CodeSpec.from_json(dict(spec, d=None)).d is None
 
 
 def test_erasure_exact_grid(tmp_path):

@@ -331,6 +331,83 @@ def test_lattice_counts_reach_the_top_of_their_dtype(n, rank):
         assert erasure._count_on_lattice(h, rho, 2, None) == expect, rho
 
 
+def every_subspace(s: int) -> set[frozenset]:
+    """Every subspace of GF(2)^s as the set of its words, spanned one vector at a time."""
+    spaces = frontier = {frozenset([0])}
+    while frontier:
+        frontier = {u | {x ^ v for x in u} for u in frontier for v in range(1 << s)} - spaces
+        spaces = spaces | frontier
+    return spaces
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("slice_", [1, 3, 4096])
+def test_support_weights_equal_a_count_over_every_subspace(monkeypatch, slice_, threads):
+    # hist[w][c]: the w-dimensional subspaces of GF(2)^s that hold c of the
+    # base's column words, repeats and zeros counted, against every subspace
+    monkeypatch.setattr(erasure, "_LATTICE_SLICE", slice_)
+    for name in ("rank3", "rank5", "rank6"):
+        base = LATTICE_CASES[name][0]
+        assert erasure._peel(base)[1] == 0
+        s, n = base.rank(), base.cols
+        words = erasure._column_words(base).tolist()
+        expect = np.zeros((s + 1, n + 1), dtype=np.int64)
+        for u in every_subspace(s):
+            expect[len(u).bit_length() - 1, sum(v in u for v in words)] += 1
+        cnt = np.bincount(words, minlength=1 << s).astype(np.min_scalar_type(n))
+        for w in range(s + 1):
+            parts = [erasure._lattice_term(cnt, p) for p in combinations(range(s), w)]
+            assert np.array_equal(sum(parts), expect[w]), (name, w)
+        assert np.array_equal(erasure._support_weights(base, range(s + 1), threads, None), expect), name
+
+
+def _pan10_first100() -> Code:
+    pan10 = panchenko(10)
+    return shorten(pan10, list(range(100, pan10.spec.n)))
+
+
+# codes whose support weights at the top levels are checked against their
+# dual spectra: (code, doublings peeled)
+DUAL_CASES = {
+    "eh8": (lambda: extended_hamming(8), 7),
+    "pan8": (lambda: panchenko(8), 4),
+    "pan10": (lambda: panchenko(10), 6),
+    "eh12": (lambda: extended_hamming(12), 11),
+    "g3-r8": (lambda: general_qp(8, 3, seed("example_9_5")), 3),
+    "pan9-short88": (_pan9_short88, 0),
+    "pan10-short100": (_pan10_first100, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(DUAL_CASES))
+def test_support_weights_lift_to_the_dual_spectrum(name):
+    """A hyperplane of GF(2)^rank holding x columns is the kernel of one
+    nonzero dual word, of weight n - x: level rank-1 of the lifted support
+    weights is the dual spectrum, on the base and on the full code."""
+    build, doublings = DUAL_CASES[name]
+    code = build()
+    base, m = erasure._peel(code.H)
+    assert m == doublings
+    s, nb, n, rank = base.rank(), base.cols, code.spec.n, code.H.rank()
+    assert rank == s + m
+    hist = erasure._support_weights(base, range(s - 1, s + 1), 2, None)
+    assert hist.shape == (s + 1, nb + 1) and not hist[: s - 1].any()
+    # the base: one hyperplane per nonzero dual word, and GF(2)^s holds every column
+    base_dual = spectrum.row_space_spectrum(base).counts
+    assert hist[s - 1].tolist() == [base_dual[nb - c] for c in range(nb)] + [0]
+    assert hist[s].tolist() == [0] * nb + [1]
+    # the full code, through the m doublings
+    dual = spectrum.dual_spectrum(code).counts
+    expect = {n - j: b for j, b in enumerate(dual) if j and b}
+    top = {x: a for (i, x), a in erasure._lift(hist, m).items() if i == rank - 1 and a}
+    assert top == expect
+    if m:
+        # level rank-1 takes W of dimension s under m - 1 doublings as well,
+        # so the levels must run through dimension s
+        short = {x: a for (i, x), a in erasure._lift(hist[:s], m).items() if i == rank - 1 and a}
+        assert short != expect
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_lattice_progress_fires_once_per_pivot_set(threads, monkeypatch):
     # reversed, eh5 cannot peel, so its parts are the pivot sets of GF(2)^5

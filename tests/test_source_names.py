@@ -1,5 +1,6 @@
 """Every module-level private name in the package is used somewhere else in
-the package: a helper or constant nothing reads is dead code."""
+the package, and every imported name is read where it is imported: a
+helper, constant or import nothing reads is dead code."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,20 @@ def test_no_module_level_private_name_is_unused():
         if not any(name in _used(node) for node in statements if node is not home)
     ]
     assert not unused, unused
+
+
+def test_every_imported_name_is_read_or_exported():
+    unread = []  # module: name
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}: {name}")
+    assert not unread, unread
