@@ -40,6 +40,13 @@ _MAX_COLUMNS = 1 << 18
 _SYNDROME_BUDGET_R = 16
 
 
+def _whole(value) -> int:
+    """A sidecar's int(value), refusing a bool or a fraction, which int() misreads."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Lineage:
     """Construction trace: seed name, doubling count, g parameter, removed columns."""
@@ -61,7 +68,7 @@ class Lineage:
     def from_json(cls, obj: dict) -> "Lineage":
         return cls(
             seed=obj.get("seed"),
-            doublings=int(obj.get("doublings", 0)),
+            doublings=_whole(obj.get("doublings", 0)),
             g=obj.get("g"),
             shortened=tuple(obj.get("shortened", ())),
         )
@@ -84,9 +91,9 @@ class CodeSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "CodeSpec":
         return cls(
-            n=int(obj["n"]),
-            r=int(obj["r"]),
-            d=None if obj.get("d") is None else int(obj["d"]),
+            n=_whole(obj["n"]),
+            r=_whole(obj["r"]),
+            d=None if obj.get("d") is None else _whole(obj["d"]),
             lineage=Lineage.from_json(obj.get("lineage", {})),
         )
 

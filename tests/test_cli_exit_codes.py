@@ -109,7 +109,15 @@ def test_construct_past_the_length_cap_exits_4_quickly(tmp_path, family):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("sidecar", ["{", '{"n": 16}', "[1]", '{"n": 16, "r": 5, "d": 4, "lineage": 3}'])
+# the last five hold a bool or a fraction, which int() would read as 1 or truncate
+MALFORMED_SIDECARS = [
+    "{", '{"n": 16}', "[1]", '{"n": 16, "r": 5, "d": 4, "lineage": 3}',
+    '{"n": 16, "r": 5, "d": 4.5}', '{"n": 16.9, "r": 5, "d": 4}', '{"n": 16, "r": 5, "d": true}',
+    '{"n": 16, "r": 5.5, "d": 4}', '{"n": 16, "r": 5, "d": 4, "lineage": {"doublings": 2.5}}',
+]
+
+
+@pytest.mark.parametrize("sidecar", MALFORMED_SIDECARS)
 def test_malformed_sidecar_exits_2_with_one_line(tmp_path, sidecar):
     assert run(tmp_path, CASES["construct-eh"]).returncode == 0
     (tmp_path / "m.txt.json").write_text(sidecar)

@@ -293,13 +293,19 @@ LATTICE_CASES = {
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("slice_", [1, 3, 4096])
 def test_lattice_equals_enumeration_and_brute_force(monkeypatch, work_ceiling, slice_, threads):
+    # every case has 11 <= n <= 16 columns, so an enumeration block of
+    # 16 * slice_ // n prefixes holds one prefix, 3 or 4, or every prefix
     monkeypatch.setattr(erasure, "_LATTICE_SLICE", slice_)
+    monkeypatch.setattr(erasure, "_SLICE", 16 * slice_)
     with work_ceiling(512 * 2**20, 60):
         for name, (h, rhos) in LATTICE_CASES.items():
             for rho in rhos:
                 expect = brute_s_rho(h, rho)
                 assert erasure._count_on_lattice(h, rho, threads, None) == expect, (name, rho)
                 assert erasure._count_by_enumeration(h, rho, threads, None) == expect, (name, rho)
+            # past rank(H) the frontier dies: at the last level, or one before it
+            for rho in (h.rank() + 1, h.rank() + 2):
+                assert erasure._count_by_enumeration(h, rho, threads, None) == 0, (name, rho)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -521,6 +527,14 @@ def test_exact_count_budget_refusal():
     assert str(math.comb(64, 7)) in str(err.value)
 
 
+def test_exact_count_above_rank_is_zero_whatever_the_budget():
+    # no 9 columns of a rank-8 H are independent; C(128, 9) is over the budget
+    code = extended_hamming(8)
+    assert code.rank() == 8 and math.comb(128, 9) > 10**10
+    assert s_rho_exact(code, 9) == 0
+    assert s_rho_exact(code, 9, budget=0) == 0
+
+
 def test_sampling_is_deterministic_across_threads_and_repeats():
     a = s_rho_sampled(pan5, 4, 20000, master_seed=42, threads=1)
     for t in (2, 5):
@@ -613,6 +627,23 @@ def test_sampler_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_enumeration_memory_is_bounded_by_its_blocks():
+    # the j0 = 0 part of pan9-short88 rho = 5 peaks near 3.4 MiB when a block
+    # holds _SLICE // n prefixes; one block per level (or _SLICE = 2^22, the
+    # whole frontier here) pairs every prefix at once and peaks near 20 MiB
+    h = _pan9_short88().H
+    cols = erasure._column_words(h)
+    erasure._count_independent_below(cols, h.cols, 5, 0)  # first-call set-up
+    tracemalloc.start()
+    try:
+        hits = erasure._count_independent_below(cols, h.cols, 5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == 936_875
+    assert peak < 7 * 2**20, peak
 
 
 def test_one_batch_gathers_without_a_batch_wide_intp_copy():
