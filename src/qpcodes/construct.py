@@ -66,11 +66,14 @@ class Lineage:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Lineage":
+        seed = obj.get("seed")
+        if seed is not None and seed not in SEED_NAMES:
+            raise ValueError(f"unknown seed {seed!r}")
         return cls(
-            seed=obj.get("seed"),
+            seed=seed,
             doublings=_whole(obj.get("doublings", 0)),
-            g=obj.get("g"),
-            shortened=tuple(obj.get("shortened", ())),
+            g=None if obj.get("g") is None else _whole(obj["g"]),
+            shortened=tuple(map(_whole, obj.get("shortened", ()))),
         )
 
 

@@ -105,8 +105,13 @@ def psi(n: int, d: int, rho: int, s: WeightSpectrum) -> int:
     )
 
 
+def _floor(count: int, total: int) -> Fraction:
+    """count / total as a floor on delta_rho: a negative count says no more than 0."""
+    return Fraction(max(count, 0), total)
+
+
 def delta_lower(n: int, d: int, rho: int, s: WeightSpectrum) -> Fraction:
-    return Fraction(psi(n, d, rho, s), math.comb(n, rho))
+    return _floor(psi(n, d, rho, s), math.comb(n, rho))
 
 
 def is_exact_regime(d: int, rho: int) -> bool:
@@ -170,11 +175,11 @@ def psi_tilde(
 
 
 def delta_tilde(n: int, d: int, rho: int, provider: SpectrumProvider) -> Fraction:
-    return Fraction(psi_tilde(n, d, rho, provider), math.comb(n, rho))
+    return _floor(psi_tilde(n, d, rho, provider), math.comb(n, rho))
 
 
 def delta_tilde_2(n: int, d: int, rho: int, provider: SpectrumProvider) -> Fraction:
-    return Fraction(psi_tilde(n, d, rho, provider, depth=2), math.comb(n, rho))
+    return _floor(psi_tilde(n, d, rho, provider, depth=2), math.comb(n, rho))
 
 
 def binary_entropy(x: float) -> float:
@@ -228,33 +233,33 @@ def _column_words(h: BitMatrix) -> np.ndarray:
 def _count_independent_below(cols: np.ndarray, n: int, rho: int, j0: int) -> int:
     """Independent rho-subsets whose smallest member is column j0.
 
-    Level-synchronized walk of the pruned prefix tree, whose frontier holds
-    the basis and highest index of every independent prefix. A level pairs
-    each prefix, copied by np.repeat, with every later column j that leaves
-    room for the rest of the subset, and reduces the pairs of _SLICE // n
-    prefixes per call. Pairs whose word stays nonzero are the next frontier;
-    the last level only counts them.
+    Depth-first walk of the pruned prefix tree, a block of _SLICE // n
+    prefixes at a time. A block pairs each prefix, copied by np.repeat, with
+    every later column j that leaves room for the rest of the subset, and
+    reduces the pairs in one call; the pairs whose word stays nonzero are
+    the block's survivors, walked to the end before the next block, and the
+    last level only counts them. So a part holds at most rho blocks.
     """
-    last = j0 + np.flatnonzero(cols[j0 : j0 + 1])  # no prefix if column j0 is zero
-    basis = cols[None, last]
     block = max(1, _SLICE // n)
-    for level in range(1, rho):
-        room = n - (rho - level) - last  # j = last+1 .. n-(rho-level)
-        hits, bases, lasts = 0, [], []
-        for lo in range(0, max(last.size, 1), block):  # one empty block once no prefix is left
-            k = room[lo : lo + block]
+
+    def walk(basis: np.ndarray, last: np.ndarray) -> int:
+        level, hits = basis.shape[0], 0
+        for lo in range(0, last.size, block):
+            k = n - (rho - level) - last[lo : lo + block]  # j = last+1 .. n-(rho-level)
             pb = np.repeat(basis[:, lo : lo + block], k, axis=1)
-            j = np.repeat(last[lo : lo + block] + 1 - np.cumsum(k) + k, k) + np.arange(pb.shape[1])
+            j = np.repeat(last[lo : lo + block] + 1 - np.cumsum(k) + k, k)
+            j += np.arange(j.size)
             x = reduce_words(cols[j], pb)
             keep = x != 0
-            hits += int(np.count_nonzero(keep))
-            if level + 1 < rho:
-                bases.append(np.vstack([pb[:, keep], x[keep]]))
-                lasts.append(j[keep])
-        if level + 1 == rho:
-            return hits
-        basis, last = np.hstack(bases), np.concatenate(lasts)
-    return last.size
+            if level + 1 == rho:
+                hits += int(np.count_nonzero(keep))
+            else:  # the survivors replace the pairs, which are freed before going down
+                pb, j = np.vstack([pb[:, keep], x[keep]]), j[keep]
+                hits += walk(pb, j)
+        return hits
+
+    last = j0 + np.flatnonzero(cols[j0 : j0 + 1])  # no prefix if column j0 is zero
+    return walk(cols[None, last], last) if rho > 1 else last.size
 
 
 def _gaussian_binomial(m: int, k: int) -> int:
@@ -636,11 +641,9 @@ def erasure_report(
         total=total,
         psi=raw_psi,
         psi_tilde=raw_tilde,
-        # the raw integers keep their sign; as probability floors, negative
-        # values say nothing more than zero does
-        delta_lower=Fraction(max(raw_psi, 0), total),
-        delta_tilde=Fraction(max(raw_tilde, 0), total),
-        delta_tilde_2=Fraction(max(tilde2, 0), total),
+        delta_lower=_floor(raw_psi, total),
+        delta_tilde=_floor(raw_tilde, total),
+        delta_tilde_2=_floor(tilde2, total),
         method=chosen,
         s_rho_exact=s_exact,
         delta_exact=Fraction(s_exact, total) if s_exact is not None else None,
@@ -673,8 +676,7 @@ class TableCell:
 
     @property
     def value(self) -> Fraction | None:
-        got = self.report.delta_exact_or_estimate
-        return got if got is not None else self.report.delta_lower
+        return self.report.delta_exact_or_estimate
 
     @property
     def deviation(self) -> float | None:

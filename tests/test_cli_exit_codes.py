@@ -109,11 +109,16 @@ def test_construct_past_the_length_cap_exits_4_quickly(tmp_path, family):
     assert not list(tmp_path.iterdir())
 
 
-# the last five hold a bool or a fraction, which int() would read as 1 or truncate
+# from the fifth on, each holds a bool or a fraction, which int() would read
+# as 1 or truncate, a string where whole numbers belong, or an unknown seed
 MALFORMED_SIDECARS = [
     "{", '{"n": 16}', "[1]", '{"n": 16, "r": 5, "d": 4, "lineage": 3}',
     '{"n": 16, "r": 5, "d": 4.5}', '{"n": 16.9, "r": 5, "d": 4}', '{"n": 16, "r": 5, "d": true}',
     '{"n": 16, "r": 5.5, "d": 4}', '{"n": 16, "r": 5, "d": 4, "lineage": {"doublings": 2.5}}',
+    '{"n": 16, "r": 5, "d": 4, "lineage": {"g": 4.5}}', '{"n": 16, "r": 5, "d": 4, "lineage": {"g": true}}',
+    '{"n": 16, "r": 5, "d": 4, "lineage": {"shortened": "ab"}}',
+    '{"n": 16, "r": 5, "d": 4, "lineage": {"shortened": [1.5]}}',
+    '{"n": 16, "r": 5, "d": 4, "lineage": {"seed": 5}}', '{"n": 16, "r": 5, "d": 4, "lineage": {"seed": "nope"}}',
 ]
 
 

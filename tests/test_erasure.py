@@ -630,7 +630,7 @@ def test_sampler_memory_does_not_grow_with_samples():
 
 
 def test_enumeration_memory_is_bounded_by_its_blocks():
-    # the j0 = 0 part of pan9-short88 rho = 5 peaks near 3.4 MiB when a block
+    # the j0 = 0 part of pan9-short88 rho = 5 peaks near 2.6 MiB when a block
     # holds _SLICE // n prefixes; one block per level (or _SLICE = 2^22, the
     # whole frontier here) pairs every prefix at once and peaks near 20 MiB
     h = _pan9_short88().H
@@ -644,6 +644,23 @@ def test_enumeration_memory_is_bounded_by_its_blocks():
         tracemalloc.stop()
     assert hits == 936_875
     assert peak < 7 * 2**20, peak
+
+
+def test_enumeration_memory_does_not_grow_with_the_frontier():
+    # the j0 = 0 part of pan10-short100 rho = 6 has 66,683,808 subsets under
+    # millions of independent prefixes; walked depth-first it holds one block
+    # per level and peaks near 7.0 MiB, where holding a whole level took 149.5
+    h = _pan10_first100().H
+    cols = erasure._column_words(h)
+    erasure._count_independent_below(cols, h.cols, 5, 0)  # first-call set-up
+    tracemalloc.start()
+    try:
+        hits = erasure._count_independent_below(cols, h.cols, 6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == 66_683_808
+    assert peak < 16 * 2**20, peak
 
 
 def test_one_batch_gathers_without_a_batch_wide_intp_copy():
@@ -787,8 +804,19 @@ def test_report_with_negative_closed_form():
     rep = erasure_report(c, 7)
     assert rep.method == "exact"
     assert rep.psi < 0 <= rep.s_rho_exact
-    assert rep.delta_lower == 0
+    assert rep.delta_lower == delta_lower(12, c.spec.d, 7, oracle_spectrum(c)) == 0
     assert rep.delta_exact == Fraction(rep.s_rho_exact, math.comb(12, 7))
+
+
+def test_delta_floors_agree_with_the_report():
+    # eh6 at rho = 7, past its rank: psi and both refinements dip below zero;
+    # the public deltas floor them at 0, as the report's are, and psi keeps its sign
+    code = extended_hamming(6)
+    s, prov = oracle_spectrum(code), trailing_shortening_provider(code)
+    rep = erasure_report(code, 7)
+    assert psi(32, 4, 7, s) < 0 and psi_tilde(32, 4, 7, prov) < 0 and psi_tilde(32, 4, 7, prov, depth=2) < 0
+    assert delta_lower(32, 4, 7, s) == delta_tilde(32, 4, 7, prov) == delta_tilde_2(32, 4, 7, prov) == 0
+    assert rep.delta_lower == rep.delta_tilde == rep.delta_tilde_2 == 0
 
 
 def test_entropy_bounds():
