@@ -44,7 +44,7 @@ import numpy as np
 from .construct import Code, _shorten
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix, gf2_basis, independent_words, reduce_words
-from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_map
+from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_count, thread_map
 from .spectrum import WeightSpectrum, comb0, oracle_spectrum
 
 __all__ = [
@@ -83,6 +83,10 @@ _SAMPLE_CHUNK = 1 << 20
 _HIT_BATCH = 1 << 16
 # subspaces per lattice slice (rounded down to a power of two): bounds its span
 _LATTICE_SLICE = 1 << 12
+# an exact count visiting fewer units (subspaces or subsets) than this runs
+# on the calling thread: on 2 cores, both routes took longer on 2 threads
+# than on 1 below 4M units, and gained only from about 8M
+_THREADED_UNITS = 1 << 22
 
 
 def psi(n: int, d: int, rho: int, s: WeightSpectrum) -> int:
@@ -408,9 +412,13 @@ def s_rho_exact(
     else the pruned enumeration of rho-subsets. Each route splits its work
     into parts (the base's echelon pivot sets, or the first column index)
     whose counts are summed as integers, so the result is identical for
-    any thread count; progress(done, total) fires once per part. A rho
-    above rank(H) counts 0 before the budget is read; otherwise the budget
-    is read in C(n, rho) subsets whichever route runs.
+    any thread count; progress(done, total) fires once per part. A route
+    with fewer than _THREADED_UNITS units to visit runs on the calling
+    thread whatever threads says: its parts are short, and each numpy call
+    drops and retakes the interpreter lock, so a second worker only makes
+    the first wait. threads is still checked first. A rho above rank(H)
+    counts 0 before the budget is read; otherwise the budget is read in
+    C(n, rho) subsets whichever route runs.
     """
     h = code.H
     n = h.cols
@@ -430,9 +438,10 @@ def s_rho_exact(
     # rank(H) = m + s. It also needs a table of 2^s column counts; the rule
     # keeps 2^s below C(n, rho), as the j = 0 and 1 terms alone sum to 2^s
     s = rank - _peel(h)[1]
-    lattice = sum(_gaussian_binomial(s, j) for j in range(min(rho, s) + 1)) <= total
-    route = _count_on_lattice if lattice else _count_by_enumeration
-    return route(h, rho, threads, progress)
+    subspaces = sum(_gaussian_binomial(s, j) for j in range(min(rho, s) + 1))
+    route, units = (_count_on_lattice, subspaces) if subspaces <= total else (_count_by_enumeration, total)
+    workers = thread_count(threads)
+    return route(h, rho, workers if units >= _THREADED_UNITS else 1, progress)
 
 
 # ---------------------------------------------------------------------------

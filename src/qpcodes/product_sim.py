@@ -52,7 +52,7 @@ import numpy as np
 
 from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
-from .gf2 import gf2_basis, independent_words
+from .gf2 import independent_words
 from .rng import (
     DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, stream_uniforms, stream_words, thread_map,
 )
@@ -107,10 +107,17 @@ def _parity_positions(cols: list[int]) -> tuple[list[int], list[int]]:
     pivot set of the reduced echelon form of H.
     """
     parity: list[int] = []
-    for j in range(len(cols)):
-        if len(gf2_basis(cols[i] for i in parity + [j])) > len(parity):
+    info: list[int] = []
+    basis: list[int] = []  # the parity columns, each reduced against those before it
+    for j, x in enumerate(cols):
+        for b in basis:
+            x = min(x, x ^ b)  # clears b's leading bit, as gf2.reduce_words does
+        if x:
             parity.append(j)
-    return parity, [j for j in range(len(cols)) if j not in parity]
+            basis.append(x)
+        else:
+            info.append(j)
+    return parity, info
 
 
 def _syndromes(lines: np.ndarray, words: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ computes the first raw 64-bit words of many indices' streams at once, on
 numpy arrays, for any sequence of indices, and stream_uniforms maps them
 to the uniforms random() would give; the simulator reads its draws from
 these rather than from a generator per index. thread_map is the one
-place chunks meet threads.
+place chunks meet threads; a map over fewer than two items, or on one
+worker, runs inline and starts no thread.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -148,7 +149,8 @@ def stream_uniforms(master_seed: int, domain: int, indices: np.ndarray | range, 
 
 
 def thread_count(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else QPCODES_THREADS, else CPU count."""
+    """Worker count: explicit argument, else QPCODES_THREADS, else the
+    number of CPUs this process may run on."""
     if explicit is not None:
         if explicit < 1:
             raise PreconditionError("thread count must be >= 1")
@@ -158,6 +160,8 @@ def thread_count(explicit: int | None = None) -> int:
         if not env.isdecimal() or int(env) < 1:
             raise PreconditionError(f"QPCODES_THREADS must be an integer >= 1, not {env!r}")
         return int(env)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -165,20 +169,24 @@ def thread_count(explicit: int | None = None) -> int:
 def thread_map(fn: Callable, items: Iterable, threads: int | None = None) -> Iterator[Iterator]:
     """fn over items, in order, on thread_count(threads) workers.
 
-    One worker maps inline. Otherwise at most two items per worker are in
-    flight, one more submitted as each further result is asked for, and
-    the pool is shut down on every exit from the with-block, cancelling
-    the work not yet started, so a worker that raises leaves no thread behind.
+    One worker, or items that yield fewer than two (the first two are
+    peeked to tell), maps inline on the calling thread, as a lone item
+    gains nothing from a worker but its start-up. Otherwise at most two
+    items per worker are in flight, one more submitted as each further
+    result is asked for, and the pool is shut down on every exit from the
+    with-block, cancelling the work not yet started, so a worker that
+    raises leaves no thread behind.
     """
     workers = thread_count(threads)
-    if workers == 1:
-        yield map(fn, items)
+    rest = iter(items)
+    head = list(islice(rest, 2))
+    if workers == 1 or len(head) < 2:
+        yield map(fn, chain(head, rest))
         return
     pool = ThreadPoolExecutor(max_workers=workers)
 
     def results() -> Iterator:
-        rest = iter(items)
-        pending = [pool.submit(fn, item) for item in islice(rest, 2 * workers)]
+        pending = [pool.submit(fn, item) for item in chain(head, islice(rest, 2 * workers - 2))]
         while pending:
             yield pending.pop(0).result()
             pending.extend(pool.submit(fn, item) for item in islice(rest, 1))

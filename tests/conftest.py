@@ -48,3 +48,19 @@ def _work_ceiling(extra_bytes: int, seconds: float):
 def work_ceiling():
     """The context manager work_ceiling(extra_bytes, seconds) above."""
     return _work_ceiling
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """max_workers of every pool rng.thread_map starts during the test."""
+    from qpcodes import rng
+
+    started = []
+
+    class Recorded(rng.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", Recorded)
+    return started

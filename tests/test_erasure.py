@@ -447,6 +447,29 @@ def test_exact_count_refuses_zero_threads_on_both_routes(code):
         s_rho_exact(code, 4, threads=0)
 
 
+# (code, rho, S_rho, route): pan9-short88 rho=3 takes the enumeration
+THREAD_RULE_CELLS = {
+    "pan9-short88-rho3": (_pan9_short88, 3, 59_640, "_count_by_enumeration"),
+    "pan9-short88-rho4": (_pan9_short88, 4, 1_022_133, "_count_on_lattice"),
+    "pan8-rho5": (lambda: panchenko(8), 5, 23_191_680, "_count_on_lattice"),
+    "eh7-rho6": (lambda: extended_hamming(7), 6, 55_996_416, "_count_on_lattice"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(THREAD_RULE_CELLS))
+def test_exact_count_is_the_same_on_the_calling_thread_and_on_workers(monkeypatch, pools_started, cell):
+    build, rho, count, route = THREAD_RULE_CELLS[cell]
+    code = build()
+    taken = _routes_taken(monkeypatch)
+    for threaded_units, threads in [(1 << 62, 1), (1 << 62, 2), (0, 1), (0, 2)]:
+        monkeypatch.setattr(erasure, "_THREADED_UNITS", threaded_units)
+        pools_started.clear()
+        assert s_rho_exact(code, rho, threads=threads) == count, (threaded_units, threads)
+        # below the constant, or on one thread, no pool starts
+        assert pools_started == ([2] if threaded_units == 0 and threads == 2 else []), (threaded_units, threads)
+    assert taken == [route] * 4
+
+
 PEEL_GRID = {
     **{f"eh{r}": (lambda r=r: extended_hamming(r), r - 1, 1) for r in range(4, 9)},
     **{f"pan{r}": (lambda r=r: panchenko(r), r - 4, 4) for r in range(5, 9)},
@@ -540,6 +563,15 @@ def test_sampling_is_deterministic_across_threads_and_repeats():
     for t in (2, 5):
         assert s_rho_sampled(pan5, 4, 20000, master_seed=42, threads=t) == a
     assert s_rho_sampled(pan5, 4, 20000, master_seed=42) == a
+
+
+def test_one_chunk_sample_runs_on_the_calling_thread(monkeypatch, pools_started):
+    one = s_rho_sampled(pan5, 4, 20000, master_seed=42, threads=2)
+    assert one == s_rho_sampled(pan5, 4, 20000, master_seed=42, threads=1)
+    assert pools_started == []
+    monkeypatch.setattr(erasure, "_SAMPLE_CHUNK", 10000)  # two chunks
+    s_rho_sampled(pan5, 4, 20000, master_seed=42, threads=2)
+    assert pools_started == [2]
 
 
 def test_sampling_unbiased_within_three_sigma():

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpcodes import cli, product_sim
-from qpcodes.construct import Code, CodeSpec, panchenko
+from qpcodes.construct import Code, CodeSpec, extended_hamming, panchenko, shorten
 from qpcodes.errors import PreconditionError
-from qpcodes.gf2 import BitMatrix
+from qpcodes.gf2 import BitMatrix, gf2_basis
 from qpcodes.product_sim import (
     DecodeOutcome,
     ProductCode,
@@ -25,6 +25,7 @@ from qpcodes.product_sim import (
     _fill_lines,
     _flip_positions,
     _floyd_picks,
+    _parity_positions,
     _stratum_errors,
     _syndromes,
     channel,
@@ -69,6 +70,25 @@ def test_component_codes():
     assert PC.row_code.spec.d == 4
     assert PC.bits == 5184
     assert sorted(PC.parity_row + PC.info_row) == list(range(72))
+
+
+@pytest.mark.parametrize("code", [
+    PC.row_code,
+    extended_hamming(6),
+    panchenko(7),
+    shorten(panchenko(7), [0, 5, 17, 39]),
+], ids=["pan8-short8", "eh6", "pan7", "pan7-short4"])
+def test_parity_positions_are_the_first_column_basis(code):
+    # the definition: column j is parity iff it is outside the span of the
+    # parity columns before it, each tested with a fresh basis
+    cols = code.H.column_ints()
+    parity = []
+    for j in range(len(cols)):
+        if len(gf2_basis(cols[i] for i in parity + [j])) > len(parity):
+            parity.append(j)
+    info = [j for j in range(len(cols)) if j not in parity]
+    assert _parity_positions(cols) == (parity, info)
+    assert len(parity) == code.H.rank()
 
 
 def test_encode_is_systematic():

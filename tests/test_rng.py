@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 
@@ -112,6 +113,44 @@ def test_thread_count_sources(monkeypatch):
     assert thread_count() >= 1
     with pytest.raises(PreconditionError):
         thread_count(0)
+
+
+def test_thread_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("QPCODES_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert thread_count() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on platforms without it
+    assert thread_count() == 64
+
+
+@pytest.mark.parametrize("items", [[], [7]], ids=["none", "one"])
+def test_thread_map_over_fewer_than_two_items_starts_no_thread(pools_started, items):
+    before = set(threading.enumerate())
+    with thread_map(lambda x: (x, threading.current_thread()), iter(items), 4) as parts:
+        got = list(parts)
+    assert got == [(x, threading.current_thread()) for x in items]
+    assert pools_started == []
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_thread_map_over_two_items_starts_its_pool(pools_started):
+    with thread_map(lambda x: x + 1, iter([1, 2]), 4) as parts:
+        assert list(parts) == [2, 3]
+    assert pools_started == [4]
+
+
+def test_thread_map_refuses_a_bad_thread_count_before_peeking():
+    pulled = []
+
+    def items():
+        pulled.append(0)
+        yield 0
+
+    with pytest.raises(PreconditionError):
+        with thread_map(lambda x: x, items(), 0):
+            pass
+    assert pulled == []
 
 
 @pytest.mark.parametrize("threads", [1, 3])
