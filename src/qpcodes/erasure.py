@@ -535,6 +535,15 @@ def s_rho_sampled(
 
 @dataclass(frozen=True)
 class ErasureReport:
+    """Erasure statistics of one (code, rho).
+
+    psi and psi_tilde are the signed formula values while rho <= rank(H).
+    Above rank(H) no rho columns are independent, and the report sets both
+    (and every floor) to 0: there they are placeholders, not the formula,
+    which psi() and psi_tilde() still return and which goes negative (eh6
+    at rho=7: psi is -1,418,560).
+    """
+
     n: int
     rho: int
     total: int

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .construct import Code, seed
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix, gf2_basis
@@ -36,9 +38,25 @@ _ORACLE_RANK_BUDGET = 26
 # half a GiB, and refuses eh18 (2 GiB) and eh19 (8 GiB)
 _SPECTRUM_BITS_BUDGET = 1 << 32
 # work of a doubling chain to length n, taken as n^3: its last step, which
-# dominates, does about n/2 shift-adds on an int of about n^2 / 2 bits. 2^38
-# admits pan14 (n = 5,120, 5.3 s) and refuses pan15 (53.5 s) and eh14
+# dominates, does about n/2 Horner steps on up to n/2 rows of about n/32
+# limbs each. 2^38 admits pan14 (n = 5,120, 1.05 s) and refuses pan15 (8.3 s;
+# 1 thread, 2-core x86-64 host, numpy 2.4) and eh14
 _DOUBLING_WORK_BUDGET = 1 << 38
+
+
+# Horner steps of double_spectrum_step between carry passes over its limbs
+_CARRY_EVERY = 28
+_LIMB_MASK = np.uint64(0xFFFFFFFF)
+
+
+def _carry(limbs: np.ndarray, carries: np.ndarray) -> np.ndarray:
+    """One carry pass over rows of 32-bit limbs held in uint64, low limb first.
+    Returns `carries`, of the same shape, filled with what it took out of each
+    limb (the top limb's are dropped)."""
+    np.right_shift(limbs, 32, out=carries)
+    limbs &= _LIMB_MASK
+    limbs[:, 1:] += carries[:, :-1]
+    return carries
 
 
 def _check_spectrum_budget(n: int, k: int) -> None:
@@ -127,21 +145,46 @@ def double_spectrum_step(s: WeightSpectrum) -> WeightSpectrum:
             )
     # Each sum, less D_v, is sum_w 2^(w-1) A_w z^(w//2) (1+z)^(half-w), z = x^2,
     # over the w >= 4 of the output's parity. It is taken by Horner in (1+z) on
-    # one int whose slot u of 8*nb bits holds the coefficient of z^u, that is
-    # out[2u + parity]. Every slot is a partial sum of nonnegative terms of one
-    # output count, itself at most the doubled total, so no slot carries.
-    nb = (s.total << (half - 1)).bit_length() // 8 + 1
-    slot = 8 * nb
+    # a (half+1, L) uint64 array whose row u holds the coefficient of z^u, that
+    # is out[2u + parity], as L 32-bit limbs, low limb first. A step adds the
+    # array, shifted down one row, into a second buffer (an in-place add of
+    # overlapping views would copy); rows 0 and 1 stay 0, since a term lands in
+    # row w//2 >= 2, and rows past `top` are still 0. Every row is a sum of
+    # nonnegative terms of one output count, itself at most the doubled total,
+    # so L limbs hold it and no carry leaves the top limb. Limbs are carried
+    # only every _CARRY_EVERY steps, and until no carry is left at the end:
+    # after a pass each is below 2^33, and a step at most doubles it and adds
+    # a term's limb (< 2^32), so s steps later it is below 3 * 2^32 * 2^s,
+    # under 2^63 for s <= 28.
+    limbs = (s.total << (half - 1)).bit_length() // 32 + 2
     out = [0] * (2 * half + 1)
     for parity in (0, 1):
-        packed = 0
+        acc = np.zeros((half + 1, limbs), np.uint64)
+        spare = np.zeros_like(acc)
+        top = -1  # highest row that may be nonzero; -1 before the first term
         for w, a in enumerate(s.counts):
-            packed += packed << slot
+            if top >= 0:
+                np.add(acc[1 : top + 2], acc[: top + 1], out=spare[1 : top + 2])
+                acc, spare = spare, acc
+                top += 1
+                if w % _CARRY_EVERY == 0:
+                    # spare takes the carries: its row 0 stays 0, as acc's row 0
+                    # is, and the next step rewrites its rows 1..top
+                    _carry(acc[: top + 1], spare[: top + 1])
             if a and w >= 4 and w % 2 == parity:
-                packed += a << (w - 1 + slot * (w // 2))
-        raw = packed.to_bytes((half + 1 - parity) * nb, "little")
-        del packed  # else it, its bytes and the counts below are all live at once
-        out[parity::2] = [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+                term = a << (w - 1)
+                n32 = term.bit_length() // 32 + 1
+                acc[w // 2, :n32] += np.frombuffer(term.to_bytes(4 * n32, "little"), "<u4")
+                top = max(top, w // 2)
+        while _carry(acc, spare).any():
+            pass
+        del spare  # else both buffers, the bytes and the counts below are all live at once
+        raw = acc.astype("<u4").tobytes()
+        del acc
+        size = 4 * limbs
+        out[parity::2] = [
+            int.from_bytes(raw[i : i + size], "little") for i in range(0, (half + 1 - parity) * size, size)
+        ]
         del raw
     for v in range(0, half + 1, 2):
         out[2 * v] += math.comb(half, v)  # D_v, the A_0 term

@@ -946,6 +946,14 @@ def test_report_beyond_rank_is_all_zero():
     assert rep.psi == 0 and rep.psi_tilde == 0
 
 
+def test_report_beyond_rank_keeps_psi_as_a_placeholder():
+    # eh6 has rank 6: at rho = 7 the report's psi is a placeholder 0, while
+    # the formula itself is negative there
+    eh6 = extended_hamming(6)
+    assert psi(32, 4, 7, oracle_spectrum(eh6)) == -1_418_560
+    assert erasure_report(eh6, 7).psi == 0
+
+
 def test_report_sampled_path():
     rep = erasure_report(panchenko(7), 6, method="sampled", samples=50000, master_seed=3)
     assert rep.method == "sampled"

@@ -188,8 +188,8 @@ def explicit_doubling(s: WeightSpectrum) -> WeightSpectrum:
 @st.composite
 def half_spectra(draw):
     """A_0 = 1, A_1..3 = 0, and A_w up to 2^64 above; in the skewed case one
-    weight holds nearly all of the total, so its output count fills the slot
-    the packed recursion sizes from the doubled total."""
+    weight holds nearly all of the total, so its output count reaches the top
+    limb the recursion sizes from the doubled total."""
     half = draw(st.integers(1, 40))
     skewed = half >= 4 and draw(st.booleans())
     high = draw(st.lists(st.integers(0, 3 if skewed else 2**64),
@@ -204,6 +204,41 @@ def half_spectra(draw):
 @given(s=half_spectra())
 def test_doubling_step_equals_the_explicit_sums(s):
     assert double_spectrum_step(s) == explicit_doubling(s)
+
+
+def _long_run_spectrum(half: int, case: str) -> WeightSpectrum:
+    counts = [1, 0, 0, 0] + [0] * (half - 3)
+    if case == "a4-only":
+        # a single term at w = 4, then half - 4 steps with no new term
+        counts[4] = 2**64 + 1
+    elif case == "odd-heavy":
+        # one odd weight holds nearly all of the total, so its output counts
+        # reach the top limb sized from the doubled total
+        counts[4:] = [3] * (half - 3)
+        counts[2 * (half // 4) + 1] = 2**200
+    else:
+        rng = random.Random(half)
+        counts[4:] = [rng.randrange(2**200) for _ in range(half - 3)]
+    return WeightSpectrum(half, tuple(counts))
+
+
+@pytest.mark.parametrize("case", ["a4-only", "odd-heavy", "dense-2^200"])
+@pytest.mark.parametrize("half", [64, 150])
+def test_doubling_step_equals_the_explicit_sums_over_long_runs(half, case):
+    # far more Horner steps than the property test above, so many carry passes
+    s = _long_run_spectrum(half, case)
+    assert double_spectrum_step(s) == explicit_doubling(s)
+
+
+@pytest.mark.parametrize(
+    "family, r", [("eh", r) for r in range(4, 12)] + [("pan", r) for r in range(5, 12)]
+)
+def test_doubling_step_is_the_macwilliams_conjugate_of_the_dual_step(family, r):
+    # an independent reference on real codes: double the dual spectrum, which
+    # only moves weights, and transform it back; up to half = 1,024 here
+    code = extended_hamming(r) if family == "eh" else panchenko(r)
+    dual = double_dual_spectrum_step(dual_spectrum(code), r + 1)
+    assert double_spectrum_step(oracle_spectrum(code)) == macwilliams(dual, r + 1)
 
 
 def test_doubling_step_refuses_low_weight():
