@@ -254,13 +254,6 @@ def _shorten(c: Code, cols: tuple[int, ...]) -> tuple[Code, WeightSpectrum]:
     return Code(CodeSpec(h.cols, c.spec.r, new_d, lineage), h), spectrum
 
 
-def _min_distance(h: BitMatrix) -> int | None:
-    """Actual minimum distance by dual-space enumeration; None for the zero code."""
-    from .spectrum import spectrum_of_matrix  # local import, avoids a cycle
-
-    return spectrum_of_matrix(h).min_nonzero()
-
-
 def covering_radius(c: Code) -> int:
     """Max over syndromes of the least number of H-columns summing to it (BFS layering)."""
     if c.spec.r > _SYNDROME_BUDGET_R:
@@ -281,7 +274,9 @@ def covering_radius(c: Code) -> int:
 
 def is_quasi_perfect(c: Code) -> bool:
     """Single-error-correcting (d in {3,4}) with covering radius exactly 2."""
-    d = _min_distance(c.H)
-    if d not in (3, 4):
+    from .spectrum import spectrum_of_matrix  # local import, avoids a cycle
+
+    # actual minimum distance, by dual-space enumeration
+    if spectrum_of_matrix(c.H).min_nonzero() not in (3, 4):
         return False
     return covering_radius(c) == 2

@@ -46,15 +46,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def column(self, j: int) -> int:
-        """Column j packed into an int, bit i = entry in row i."""
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        v = 0
-        for i, r in enumerate(self.rows):
-            v |= ((r >> j) & 1) << i
-        return v
-
     def column_ints(self) -> list[int]:
         """All columns as ints (bit i = row i). The kernels work on this form."""
         if not self.rows:
@@ -75,10 +66,6 @@ class BitMatrix:
     def delete_columns(self, idx: Sequence[int]) -> "BitMatrix":
         drop = set(idx)
         return self.select_columns([j for j in range(self.cols) if j not in drop])
-
-    def columns_independent(self, idx: Sequence[int]) -> bool:
-        """True iff the selected columns are linearly independent over GF(2)."""
-        return len(gf2_basis(self.column(j) for j in idx)) == len(idx)
 
     def to_text(self) -> str:
         """Text form: 'rows cols' header, then one 0/1 line per row."""

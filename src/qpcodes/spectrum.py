@@ -38,9 +38,9 @@ _ORACLE_RANK_BUDGET = 26
 # half a GiB, and refuses eh18 (2 GiB) and eh19 (8 GiB)
 _SPECTRUM_BITS_BUDGET = 1 << 32
 # work of a doubling chain to length n, taken as n^3: its last step, which
-# dominates, does about n/2 Horner steps on up to n/2 rows of about n/32
-# limbs each. 2^38 admits pan14 (n = 5,120, 1.05 s) and refuses pan15 (8.3 s;
-# 1 thread, 2-core x86-64 host, numpy 2.4) and eh14
+# dominates, does about n/2 Horner steps on up to n rows (n/2 for an even
+# code) of about n/32 limbs each. 2^38 admits pan14 (n = 5,120, 0.91 s) and
+# refuses pan15 (8.2-8.8 s; 1 thread, 2-core x86-64 host, numpy 2.4) and eh14
 _DOUBLING_WORK_BUDGET = 1 << 38
 
 
@@ -130,9 +130,8 @@ class WeightSpectrum:
 def double_spectrum_step(s: WeightSpectrum) -> WeightSpectrum:
     """Spectrum of the doubled code from the half-length spectrum.
 
-    Even weights:  A'_{2v} = D_v + sum_{j=0}^{v-2} 2^{2v-2j-1} A_{2v-2j} C(half-2v+2j, j)
-    with D_v = C(half, v) for even v, else 0.
-    Odd weights:   A'_{2v+1} = sum_{j=0}^{v-2} 2^{2v-2j} A_{2v+1-2j} C(half-2v-1+2j, j)
+    A'(x) = sum_{w>=4} 2^(w-1) A_w x^w (1+x^2)^(half-w) + sum_{v even} C(half, v) x^(2v),
+    the second sum being D_v, the words built on the zero word.
 
     Valid only when the input code has no nonzero word of weight < 4.
     """
@@ -143,51 +142,53 @@ def double_spectrum_step(s: WeightSpectrum) -> WeightSpectrum:
                 f"input spectrum has A_{w} = {s.counts[w]} != 0; "
                 "the doubling recursion requires minimum weight >= 4"
             )
-    # Each sum, less D_v, is sum_w 2^(w-1) A_w z^(w//2) (1+z)^(half-w), z = x^2,
-    # over the w >= 4 of the output's parity. It is taken by Horner in (1+z) on
-    # a (half+1, L) uint64 array whose row u holds the coefficient of z^u, that
-    # is out[2u + parity], as L 32-bit limbs, low limb first. A step adds the
-    # array, shifted down one row, into a second buffer (an in-place add of
-    # overlapping views would copy); rows 0 and 1 stay 0, since a term lands in
-    # row w//2 >= 2, and rows past `top` are still 0. Every row is a sum of
-    # nonnegative terms of one output count, itself at most the doubled total,
-    # so L limbs hold it and no carry leaves the top limb. Limbs are carried
-    # only every _CARRY_EVERY steps, and until no carry is left at the end:
-    # after a pass each is below 2^33, and a step at most doubles it and adds
-    # a term's limb (< 2^32), so s steps later it is below 3 * 2^32 * 2^s,
-    # under 2^63 for s <= 28.
+    # The first sum is taken by Horner in (1+x^2) on a uint64 array whose row
+    # i holds the coefficient of x^(g*i) as L 32-bit limbs, low limb first.
+    # g is 1, or 2 for an even code (no odd w with A_w != 0), whose doubled
+    # code is even too, so that its odd rows are not carried along as zeros.
+    # A step adds the array, shifted down by the rows of one x^2, into a
+    # second buffer (an in-place add of overlapping views would copy); the
+    # rows below that shift stay 0, since a term lands in row w/g >= 2, and
+    # rows past `top` are still 0. Every row is a sum of nonnegative terms of
+    # one output count, itself at most the doubled total, so L limbs hold it
+    # and no carry leaves the top limb. Limbs are carried only every
+    # _CARRY_EVERY steps, and until no carry is left at the end: after a pass
+    # each is below 2^33, and a step at most doubles it and adds a term's limb
+    # (< 2^32), so s steps later it is below 3 * 2^32 * 2^s, under 2^63 for
+    # s <= 28.
+    g = 1 if any(s.counts[1::2]) else 2
+    shift = 2 // g
     limbs = (s.total << (half - 1)).bit_length() // 32 + 2
+    acc = np.zeros((2 * half // g + 1, limbs), np.uint64)
+    spare = np.zeros_like(acc)
+    top = -1  # highest row that may be nonzero; -1 before the first term
+    for w, a in enumerate(s.counts):
+        if top >= 0:
+            np.add(acc[shift : top + 1 + shift], acc[: top + 1], out=spare[shift : top + 1 + shift])
+            acc, spare = spare, acc
+            top += shift
+            if w % _CARRY_EVERY == 0:
+                # spare takes the carries: its rows below the shift stay 0, as
+                # acc's are, and the next step rewrites the rest up to top
+                _carry(acc[: top + 1], spare[: top + 1])
+        if a and w >= 4:
+            term = a << (w - 1)
+            n32 = term.bit_length() // 32 + 1
+            acc[w // g, :n32] += np.frombuffer(term.to_bytes(4 * n32, "little"), "<u4")
+            top = max(top, w // g)
+    while _carry(acc, spare).any():
+        pass
+    del spare  # else both buffers, the bytes and the counts below are all live at once
+    raw = acc.astype("<u4").tobytes()
+    del acc
+    size = 4 * limbs
     out = [0] * (2 * half + 1)
-    for parity in (0, 1):
-        acc = np.zeros((half + 1, limbs), np.uint64)
-        spare = np.zeros_like(acc)
-        top = -1  # highest row that may be nonzero; -1 before the first term
-        for w, a in enumerate(s.counts):
-            if top >= 0:
-                np.add(acc[1 : top + 2], acc[: top + 1], out=spare[1 : top + 2])
-                acc, spare = spare, acc
-                top += 1
-                if w % _CARRY_EVERY == 0:
-                    # spare takes the carries: its row 0 stays 0, as acc's row 0
-                    # is, and the next step rewrites its rows 1..top
-                    _carry(acc[: top + 1], spare[: top + 1])
-            if a and w >= 4 and w % 2 == parity:
-                term = a << (w - 1)
-                n32 = term.bit_length() // 32 + 1
-                acc[w // 2, :n32] += np.frombuffer(term.to_bytes(4 * n32, "little"), "<u4")
-                top = max(top, w // 2)
-        while _carry(acc, spare).any():
-            pass
-        del spare  # else both buffers, the bytes and the counts below are all live at once
-        raw = acc.astype("<u4").tobytes()
-        del acc
-        size = 4 * limbs
-        out[parity::2] = [
-            int.from_bytes(raw[i : i + size], "little") for i in range(0, (half + 1 - parity) * size, size)
-        ]
-        del raw
+    out[::g] = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    del raw
+    d = 1  # D_v = C(half, v), v even, by its running ratio
     for v in range(0, half + 1, 2):
-        out[2 * v] += math.comb(half, v)  # D_v, the A_0 term
+        out[2 * v] += d
+        d = d * ((half - v) * (half - v - 1)) // ((v + 1) * (v + 2))
     result = WeightSpectrum(2 * half, tuple(out))
     # word count must grow by exactly 2^(half-1): dimension k -> k + half - 1
     if result.total != s.total << (half - 1):

@@ -106,23 +106,10 @@ def test_rank_matches_dense_reference_on_random_matrices():
 
 def test_matrix_column_and_select():
     m = BitMatrix((0b011, 0b110), 3)
-    # column j packs row bits: col0 = row0 bit0 =1, row1 bit0 = 0
-    assert m.column(0) == 0b01
-    assert m.column(1) == 0b11
-    assert m.column(2) == 0b10
     sel = m.select_columns([2, 0])
     assert sel.rows == (0b10, 0b01)
     assert sel.cols == 2
     assert m.delete_columns([1]).rows == (0b01, 0b10)
-
-
-def test_columns_independent():
-    m = BitMatrix((0b0101, 0b1011), 4)  # columns (top bit = row 0): 3, 2, 1, 2
-    assert m.columns_independent([0, 1])
-    assert m.columns_independent([1, 2])
-    assert not m.columns_independent([1, 3])  # equal columns
-    assert not m.columns_independent([0, 1, 2])  # three cols in a rank-2 space
-    assert m.columns_independent([])
 
 
 def test_matrix_text_roundtrip():

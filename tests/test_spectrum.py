@@ -219,11 +219,14 @@ def _long_run_spectrum(half: int, case: str) -> WeightSpectrum:
     else:
         rng = random.Random(half)
         counts[4:] = [rng.randrange(2**200) for _ in range(half - 3)]
+        if case == "even-dense-2^200":
+            # an even code, whose step keeps only the even rows
+            counts[5::2] = [0] * len(counts[5::2])
     return WeightSpectrum(half, tuple(counts))
 
 
-@pytest.mark.parametrize("case", ["a4-only", "odd-heavy", "dense-2^200"])
-@pytest.mark.parametrize("half", [64, 150])
+@pytest.mark.parametrize("case", ["a4-only", "odd-heavy", "dense-2^200", "even-dense-2^200"])
+@pytest.mark.parametrize("half", [64, 150, 151])
 def test_doubling_step_equals_the_explicit_sums_over_long_runs(half, case):
     # far more Horner steps than the property test above, so many carry passes
     s = _long_run_spectrum(half, case)
