@@ -325,7 +325,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     _emit(args, _json(payload), master_seed=args.seed)
     print(
         f"simulated {res.trials} trials at p={args.p}, d_plus={args.dplus}: "
-        f"failure estimate {float(res.estimate):.6g}"
+        f"failure estimate {res.estimate_float:.6g}"
     )
 
 
@@ -398,7 +398,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
         # the cells of one p share their trials, which are drawn once
         for res in failure_probabilities(pc, cfgs, per_stratum=args.per_stratum, k_max=args.kmax):
             p, dp = res.p, res.d_plus
-            estimate = float(res.estimate)
+            estimate = res.estimate_float
             ref = TABLE2_REFERENCE.get((p, dp))
             deviation = estimate - float(ref) if ref is not None else None
             rows.append([

@@ -4,10 +4,12 @@ Rows and columns are Python ints used as bitsets; bit j of a row int is the
 entry in column j (least-significant bit = lowest column index). This is the
 convention used by the text format and by every kernel downstream.
 
-The batched kernel at the end decides independence for whole numpy arrays
-of such words at once, for the erasure counts and the simulator alike. It
-keeps no pivots: a word is reduced by a basis vector when XOR makes it
-smaller as an unsigned number, two array ops per basis vector.
+gf2_echelon is the one scalar elimination: rank, row bases and the
+simulator's choice of parity positions all come from it. The batched
+kernel at the end decides independence for whole numpy arrays of such
+words at once, for the erasure counts and the simulator alike. It keeps no
+pivots: a word is reduced by a basis vector when XOR makes it smaller as
+an unsigned number, two array ops per basis vector.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import PreconditionError
 __all__ = [
     "BitMatrix",
     "gf2_basis",
+    "gf2_echelon",
     "gf2_rank",
     "independent_words",
     "reduce_words",
@@ -99,22 +102,31 @@ def _from_bits(bits: str) -> int:
     return int(bits[::-1] or "0", 2)
 
 
-def gf2_basis(vectors: Iterable[int]) -> list[int]:
-    """Echelon basis of the span of int-bitset vectors, in insertion order.
+def gf2_echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Index of every int-bitset vector kept, mapped to its reduced form,
+    in insertion order.
 
-    Each vector is reduced against the basis so far by leading bit and kept
-    if anything is left, so the vectors were independent iff every one of
-    them is kept.
+    Each vector is reduced against the kept ones so far by leading bit and
+    kept if anything is left: vector i is kept iff it lies outside the span
+    of the vectors before it. The reduced forms have distinct leading bits
+    and span what the vectors span.
     """
-    basis: dict[int, int] = {}  # leading bit -> reduced vector
-    for x in vectors:
+    pivots: dict[int, int] = {}  # leading bit -> reduced vector
+    kept: dict[int, int] = {}
+    for i, x in enumerate(vectors):
         while x:
             b = x.bit_length() - 1
-            if b not in basis:
-                basis[b] = x
+            if b not in pivots:
+                pivots[b] = kept[i] = x
                 break
-            x ^= basis[b]
-    return list(basis.values())
+            x ^= pivots[b]
+    return kept
+
+
+def gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """Echelon basis of the span of int-bitset vectors, in insertion order;
+    the vectors were independent iff every one of them is kept."""
+    return list(gf2_echelon(vectors).values())
 
 
 def gf2_rank(rows: Sequence[int]) -> int:

@@ -31,7 +31,12 @@ classified in one batch pass over the row and column syndromes those
 positions make. Only the routed trials with a silent line, the only ones
 that can end in a miscorrection, are laid out as arrays and run through
 decode. One run loop and one estimator serve both strategies: plain is the
-stratified estimator on a single stratum of weight 1.
+stratified estimator on a single stratum of weight 1. The workers draw
+plain chunks, whose whole-array draw scales with them; the calling thread
+draws the stratified runs, whose Floyd steps are many small array calls
+that would only take turns on the interpreter lock, and the workers
+classify them. The estimate is kept as its exact, unreduced numerator and
+denominator, and reduced to a Fraction only when read.
 
 A trial's stream is keyed by the seed and its index alone, never by
 d_plus, so the cells of one p in a Table 2 grid see the same trials.
@@ -46,13 +51,14 @@ import math
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .construct import Code, panchenko, shorten
 from .errors import PreconditionError
-from .gf2 import independent_words
+from .gf2 import gf2_echelon, independent_words
 from .rng import (
     DOMAIN_SIM_STRATA, DOMAIN_SIM_TRIALS, derive_stream, stream_uniforms, stream_words, thread_map,
 )
@@ -84,9 +90,10 @@ TABLE2_REFERENCE: dict[tuple[float, int], str] = {
 }
 
 _SUCCESS, _DETECTED, _MISCORRECTION = 0, 1, 2
-# trials that one job draws and classifies in one batch: a plain chunk, or a
-# run of neighbouring strata, whose Philox pass and Floyd steps cost a few
-# hundred array operations whatever the run's size
+# trials that one job draws and classifies in one batch: a plain chunk, whose
+# Philox pass is a few hundred array operations whatever its size, or a run
+# of neighbouring strata, whose Floyd loop takes one step, about 26 array
+# calls, per error of its largest stratum (109 steps at p = 1e-2)
 _CHUNK_TRIALS = 1024
 # a plain chunk buffers at most about this many uniforms, however high p is
 _CHUNK_UNIFORMS = 1 << 17
@@ -106,18 +113,8 @@ def _parity_positions(cols: list[int]) -> tuple[list[int], list[int]]:
     joins iff it is outside the span of the columns before it, which is the
     pivot set of the reduced echelon form of H.
     """
-    parity: list[int] = []
-    info: list[int] = []
-    basis: list[int] = []  # the parity columns, each reduced against those before it
-    for j, x in enumerate(cols):
-        for b in basis:
-            x = min(x, x ^ b)  # clears b's leading bit, as gf2.reduce_words does
-        if x:
-            parity.append(j)
-            basis.append(x)
-        else:
-            info.append(j)
-    return parity, info
+    parity = gf2_echelon(cols)
+    return list(parity), [j for j in range(len(cols)) if j not in parity]
 
 
 def _syndromes(lines: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -386,12 +383,15 @@ def _erasable(flags: np.ndarray, words: np.ndarray, cap: int) -> tuple[np.ndarra
     counts = np.count_nonzero(flags, axis=1)
     ok = counts == 0
     few = np.flatnonzero((counts > 0) & (counts <= cap))
-    # the flagged indices of each trial first, in increasing order
-    order = np.argsort(~flags[few], axis=1, kind="stable")
+    # the flagged lines of the trials of few, one trial after another, each
+    # in increasing order, and where each trial's lines start
+    _, lines = np.nonzero(flags[few])
+    sizes = counts[few]
+    starts = np.cumsum(sizes) - sizes
     for c in range(1, cap + 1):
-        sel = counts[few] == c
+        sel = sizes == c
         if sel.any():
-            ok[few[sel]] = independent_words(words[order[sel, :c].T])
+            ok[few[sel]] = independent_words(words[lines[starts[sel, None] + np.arange(c)].T])
     return counts, ok
 
 
@@ -463,22 +463,39 @@ def _chunk_plan(trials: int, bits: int, p: float) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, repr=False)
 class SimResult:
-    """estimate is exact; a stratified one can have a denominator far past
-    the digits str() will print, so repr and JSON show it as a float."""
+    """The estimate is exact. It is kept as the integer pair it is built
+    from, exact = (numerator, denominator), and estimate reduces that pair
+    to lowest terms once, on first read: a stratified denominator runs to
+    tens of thousands of bits, and its gcd can cost more than the run's
+    draws. estimate_float, repr and JSON show it as a float, taken from the
+    pair; int true division is correctly rounded, as float(Fraction) is, so
+    that float is the reduced fraction's."""
 
     p: float
     d_plus: int
     trials: int
     failures: int
     miscorrections: int
-    estimate: Fraction
+    exact: tuple[int, int]
     ci95: float
     strategy: str
     master_seed: int
     tail_bound: float | None = None
 
+    @cached_property
+    def estimate(self) -> Fraction:
+        return Fraction(*self.exact)
+
+    @property
+    def estimate_float(self) -> float:
+        numerator, denominator = self.exact
+        return numerator / denominator
+
     def to_json(self) -> dict:
-        return {**asdict(self), "estimate": float(self.estimate)}
+        # the float takes the pair's place, so the keys keep the fields' order
+        return dict(
+            ("estimate", self.estimate_float) if k == "exact" else (k, v) for k, v in asdict(self).items()
+        )
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self.to_json().items())
@@ -509,23 +526,43 @@ def failure_probabilities(
     Both run one estimator: a stratum of weight w with f failures in its n
     trials adds w f / n to the estimate and w^2 q (1 - q) / n, with
     q = (f + 1) / (n + 2), to its variance. Plain is the one stratum of
-    weight 1 that holds all cfg.trials trials.
+    weight 1 that holds all cfg.trials trials. The estimate is the exact
+    pair sum_k u_k f_k over denom * n, for P(K=k) = u_k / denom; each
+    result keeps that pair and reduces it only if its estimate is read.
 
     A trial's stream does not depend on d_plus, so every config sees the
     same trials; each job draws them and builds their syndromes once, then
-    classifies them under every config's d_plus.
+    classifies them under every config's d_plus. A plain chunk is drawn on
+    the worker that classifies it, a stratified run on the calling thread
+    (see below); either way the counts do not depend on threads or chunking.
     """
     if not cfgs:
         return []
     cfg = cfgs[0]
     if any(replace(c, d_plus=cfg.d_plus) != cfg for c in cfgs):
         raise PreconditionError("configs simulated together may differ only in d_plus")
+    d_plus = tuple(c.d_plus for c in cfgs)
+
+    def classify(drawn: tuple[list[int], int, np.ndarray, np.ndarray]) -> tuple[list[int], np.ndarray]:
+        """The strata of a drawn job, and its outcome codes."""
+        run_ks, size, trial, pos = drawn
+        return run_ks, _classify_batch(pc, size, trial, pos, d_plus)
+
+    # A job is drawn where its draw runs best. A plain chunk's draw is a few
+    # whole-array passes that release the interpreter lock, so each worker
+    # draws its own chunk, and the draws scale with the workers: drawn on
+    # the calling thread instead, `table --which 2 --trials 2000` took
+    # 28-35 ms against 24 ms on 2 cores. A stratified run's draw is Floyd's
+    # loop of small array calls, one step per error of its largest stratum,
+    # which two workers would run taking turns on the lock; so the calling
+    # thread draws each run as thread_map pulls it (at most 2 x workers
+    # ahead), while the workers classify the runs before it.
     if cfg.strategy == "plain":
         weights, denom, n = {0: 1}, 1, cfg.trials
         # at p = 0 the channel is the identity: every trial is the same clean success
         jobs = [] if cfg.p == 0.0 else _chunk_plan(cfg.trials, pc.bits, cfg.p)
 
-        def draw(chunk: tuple[int, int]) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+        def work(chunk: tuple[int, int]) -> tuple[list[int], np.ndarray]:
             start, size = chunk
             # trial t flips the row-major positions the geometric gaps of its
             # own stream give, as in channel; the streams of the whole chunk,
@@ -534,7 +571,7 @@ def failure_probabilities(
                 lambda m, rows: stream_uniforms(cfg.master_seed, DOMAIN_SIM_TRIALS, start + rows, m),
                 size, pc.bits, cfg.p,
             )
-            return [0], size, trial, pos
+            return classify(([0], size, trial, pos))
     else:
         if per_stratum < 1:
             raise PreconditionError("per_stratum must be >= 1")
@@ -543,16 +580,9 @@ def failure_probabilities(
             raise PreconditionError(f"every stratum has P(K=k) < {_EPS_TAIL} or k > k_max; raise k_max")
         ks, n = sorted(weights), per_stratum
         run = max(1, _CHUNK_TRIALS // n)
-        jobs = [ks[i:i + run] for i in range(0, len(ks), run)]
-
-        def draw(run_ks: list[int]) -> tuple[list[int], int, np.ndarray, np.ndarray]:
-            return run_ks, len(run_ks) * n, *_stratum_errors(pc.bits, cfg.master_seed, n, run_ks)
-
-    d_plus = tuple(c.d_plus for c in cfgs)
-
-    def work(job) -> tuple[list[int], np.ndarray]:
-        run_ks, size, trial, pos = draw(job)
-        return run_ks, _classify_batch(pc, size, trial, pos, d_plus)
+        runs = [ks[i:i + run] for i in range(0, len(ks), run)]
+        jobs = ((run_ks, len(run_ks) * n, *_stratum_errors(pc.bits, cfg.master_seed, n, run_ks)) for run_ks in runs)
+        work = classify
 
     # per stratum, the failures under each config
     failures = {k: np.zeros(len(cfgs), dtype=np.int64) for k in weights}
@@ -577,7 +607,7 @@ def failure_probabilities(
         results.append(SimResult(
             p=c.p, d_plus=c.d_plus, trials=n * len(weights),
             failures=sum(int(counts[i]) for counts in failures.values()),
-            miscorrections=int(mis[i]), estimate=Fraction(numerator, denom * n),
+            miscorrections=int(mis[i]), exact=(numerator, denom * n),
             ci95=1.96 * math.sqrt(variance), strategy=c.strategy, master_seed=c.master_seed,
             tail_bound=None if c.strategy == "plain" else (denom - sum(weights.values())) / denom,
         ))

@@ -21,6 +21,7 @@ from qpcodes.product_sim import (
     _binomial_weights,
     _chunk_plan,
     _classify_batch,
+    _erasable,
     _erasure_table,
     _fill_lines,
     _flip_positions,
@@ -499,6 +500,34 @@ def test_seeds_past_2_63_draw_apart():
     assert len(set(by_trial)) == 4
 
 
+def erasable_by_sort(flags, words, cap):
+    """_erasable by its definition: a stable argsort puts each trial's
+    flagged lines first, in increasing order."""
+    counts = np.count_nonzero(flags, axis=1)
+    ok = counts == 0
+    few = np.flatnonzero((counts > 0) & (counts <= cap))
+    order = np.argsort(~flags[few], axis=1, kind="stable")
+    for t, c, lines in zip(few, counts[few], order):
+        ok[t] = gf2_rank(words[lines[:c]].tolist()) == c
+    return counts, ok
+
+
+@pytest.mark.parametrize("words", [PC.row_words, SKEW.col_words], ids=["row", "skew-col"])
+def test_erasable_equals_the_argsort_definition(words):
+    rng = np.random.default_rng(5)
+    # rows from empty to full, most near the cap, where independence decides
+    density = rng.choice([0.0, 0.01, 0.03, 0.06, 0.1, 0.5, 1.0], size=400)
+    flags = rng.random((400, 72)) < density[:, None]
+    counts = np.count_nonzero(flags, axis=1)
+    assert (counts == 0).any() and (counts > 8).any()
+    for cap in range(1, 9):  # 8: every row of H
+        got = _erasable(flags, words, cap)
+        want = erasable_by_sort(flags, words, cap)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), cap
+        assert not got[1][counts > cap].any()
+    assert _erasable(flags[:0], words, 8)[1].shape == (0,)
+
+
 def test_chunk_plan():
     assert _chunk_plan(3000, PC.bits, 1e-2) == [(0, 1024), (1024, 1024), (2048, 952)]
     assert _chunk_plan(5, PC.bits, 1e-3) == [(0, 5)]
@@ -727,6 +756,66 @@ def test_stratified_does_not_depend_on_run_size(monkeypatch):
         monkeypatch.setattr(product_sim, "_CHUNK_TRIALS", run)
         res = failure_probability(PC, cfg, per_stratum=7)
         assert (res.failures, res.miscorrections, res.estimate) == (base.failures, base.miscorrections, base.estimate)
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-2])
+def test_stratified_does_not_depend_on_threads_or_run_size(monkeypatch, p):
+    # the calling thread draws each run as the workers take them; neither
+    # the worker count nor the runs' size may show in any field
+    cfgs = [SimConfig(p=p, d_plus=d, trials=1, master_seed=9, strategy="stratified") for d in (3, 6)]
+    base = failure_probabilities(PC, cfgs, per_stratum=7, threads=1)
+    for run in (1, 7, 1024, 4096):
+        monkeypatch.setattr(product_sim, "_CHUNK_TRIALS", run)
+        for threads in (1, 2, 3):
+            results = failure_probabilities(PC, cfgs, per_stratum=7, threads=threads)
+            assert [r.to_json() for r in results] == [b.to_json() for b in base]
+            assert [r.estimate for r in results] == [b.estimate for b in base]
+            assert results == base
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stratified_is_pinned_at_an_odd_p(threads):
+    # an odd p gives a 189,430-bit reduced denominator; the float and the
+    # JSON, taken from the unreduced pair, must be the reduced Fraction's
+    cfg = SimConfig(p=1.23456789e-3, d_plus=4, trials=1, master_seed=1, strategy="stratified")
+    res = failure_probability(PC, cfg, per_stratum=20, threads=threads)
+    assert res.failures == 539
+    assert res.to_json() == {
+        "p": 0.00123456789, "d_plus": 4, "trials": 640, "failures": 539, "miscorrections": 0,
+        "estimate": 0.7576662697756505, "ci95": 0.03325826178458175, "strategy": "stratified",
+        "master_seed": 1, "tail_bound": 4.616565622901339e-13,
+    }
+    assert list(res.to_json()) == [
+        "p", "d_plus", "trials", "failures", "miscorrections",
+        "estimate", "ci95", "strategy", "master_seed", "tail_bound",
+    ]
+    est = res.estimate
+    assert isinstance(est, Fraction)
+    assert math.gcd(est.numerator, est.denominator) == 1
+    assert est.denominator.bit_length() == 189430
+    digest = hashlib.sha256()
+    for x in (est.numerator, est.denominator):
+        digest.update(x.to_bytes((x.bit_length() + 7) // 8, "little"))
+    assert digest.hexdigest() == "5910c2d59beefdc7b0bc9d456dbace17c92d6b09df320276da427d001fb937f2"
+    assert float(est) == 0.7576662697756505 == res.estimate_float == res.to_json()["estimate"]
+    assert est == Fraction(*res.exact)
+    assert res.estimate is est  # reduced once
+
+
+def test_no_cli_path_reduces_the_estimate(monkeypatch, tmp_path):
+    # the CLI prints and writes only the float, which comes from the
+    # unreduced pair; reducing a stratified estimate can cost more than its run
+    def refuse(self):
+        raise AssertionError("the exact estimate was reduced")
+
+    monkeypatch.setattr(product_sim.SimResult, "estimate", property(refuse))
+    common = ["--p", "1.23456789e-3", "--stratified", "--per-stratum", "2"]
+    assert cli.main(["simulate", "--dplus", "4", "--trials", "1", *common,
+                     "--out", str(tmp_path / "s.json")]) == 0
+    assert cli.main(["table", "--which", "2", "--dplus", "3,4", *common,
+                     "--out", str(tmp_path / "t.csv")]) == 0
+    assert cli.main(["simulate", "--p", "1e-3", "--dplus", "4", "--trials", "20",
+                     "--out", str(tmp_path / "p.json")]) == 0
 
 
 def test_stratified_is_deterministic():
