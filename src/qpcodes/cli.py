@@ -55,6 +55,10 @@ _NAMED_CODE = re.compile(rf"^({'|'.join(_FAMILIES)})(\d+)$", re.IGNORECASE)
 # the g values for which a starting matrix ships with the package
 _GENERAL_SEEDS = {0: "M", 2: "S", 3: "example_9_5"}
 
+# a double's exact decimal expansion ends within 1,074 fractional digits, so
+# more print only zeros; near 2^31 the formatter would build a 2 GiB cell
+_MAX_DIGITS = 1074
+
 
 def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
@@ -223,8 +227,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
         ws = spectrum_by_doubling(code)
         if walked is None and args.method == "both":
             walked = oracle_spectrum(code)
-        # a matrix file's spectrum is walked already, so its sidecar's lineage
-        # is checked against it under --method recursion too
+        # a matrix file's spectrum is walked already, so the recursion is
+        # checked against it under --method recursion too
         if walked is not None and ws != walked:
             raise ConsistencyError(
                 "recursion and oracle spectra disagree; refusing to write output"
@@ -248,8 +252,8 @@ _ERASURE_COLUMNS = [
 
 
 def _cmd_erasure(args: argparse.Namespace) -> None:
-    if args.digits < 0:
-        raise PreconditionError("--digits must be >= 0")
+    if not 0 <= args.digits <= _MAX_DIGITS:
+        raise PreconditionError(f"--digits must be in 0..{_MAX_DIGITS}")
     code, inputs, walked = _resolve_code(args.code)
     if args.rho_min > args.rho_max:
         raise PreconditionError("--rho-min exceeds --rho-max")
@@ -363,8 +367,8 @@ def _table1_codes(tokens: list[str]) -> list[tuple[str, Code]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
-    if args.digits < 0:
-        raise PreconditionError("--digits must be >= 0")
+    if not 0 <= args.digits <= _MAX_DIGITS:
+        raise PreconditionError(f"--digits must be in 0..{_MAX_DIGITS}")
     digits = args.digits
     if args.which == 1:
         codes = _table1_codes(_parse_list(args.codes, str) if args.codes else [])

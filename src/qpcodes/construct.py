@@ -23,6 +23,7 @@ __all__ = [
     "Code",
     "seed",
     "double",
+    "peel",
     "extended_hamming",
     "panchenko",
     "general_qp",
@@ -154,6 +155,25 @@ def double(c: Code) -> Code:
         replace(c.spec.lineage, doublings=c.spec.lineage.doublings + 1),
     )
     return Code(spec, BitMatrix(rows, 2 * n))
+
+
+def peel(h: BitMatrix) -> tuple[BitMatrix, int]:
+    """(base, m): H read as m length doublings of base, m as large as H's
+    own rows show; the inverse of m doubles. One doubling is a top row
+    0...0|1...1 over the base written twice side by side, r | r << n/2 in
+    every other row; so while n is even and H has two rows or more, a row 0
+    and halves of that form peel off. The check reads the matrix, never a
+    code's recorded lineage.
+    """
+    m = 0
+    while h.cols and h.cols % 2 == 0 and h.nrows >= 2:
+        half = h.cols // 2
+        ones = (1 << half) - 1
+        low = [r & ones for r in h.rows[1:]]
+        if h.rows[0] != ones << half or any(r != lo | lo << half for r, lo in zip(h.rows[1:], low)):
+            break
+        h, m = BitMatrix(tuple(low), half), m + 1
+    return h, m
 
 
 def extended_hamming(r: int) -> Code:

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .construct import Code, _shorten
+from .construct import Code, _shorten, peel
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix, gf2_basis, independent_words, reduce_words
 from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_count, thread_map
@@ -341,24 +341,6 @@ def _count_by_enumeration(h: BitMatrix, rho: int, threads: int | None, progress:
     return _summed(counter, range(h.cols - rho + 1), threads, progress)
 
 
-def _peel(h: BitMatrix) -> tuple[BitMatrix, int]:
-    """(base, m): H read as m length doublings of base, m as large as H's
-    own rows show. One doubling is a top row 0...0|1...1 over the base
-    written twice side by side, r | r << n/2 in every other row; so while n
-    is even and H has two rows or more, a row 0 and halves of that form
-    peel off. The check reads the matrix, never a code's recorded lineage.
-    """
-    m = 0
-    while h.cols and h.cols % 2 == 0 and h.nrows >= 2:
-        half = h.cols // 2
-        ones = (1 << half) - 1
-        low = [r & ones for r in h.rows[1:]]
-        if h.rows[0] != ones << half or any(r != lo | lo << half for r, lo in zip(h.rows[1:], low)):
-            break
-        h, m = BitMatrix(tuple(low), half), m + 1
-    return h, m
-
-
 def _lift(hist: np.ndarray, m: int) -> Counter:
     """lifted[i, x]: the i-dimensional U in GF(2)^m x GF(2)^s holding x of
     the columns GF(2)^m x the base's, from hist[w][c] on the base. U projects
@@ -385,11 +367,11 @@ def _support_weights(base: BitMatrix, dims: range, threads: int | None, progress
     return _summed(lambda p: np.outer(level[len(p)], _lattice_term(cnt, p)), parts, threads, progress)
 
 
-def _count_on_lattice(h: BitMatrix, rho: int, threads: int | None, progress: Progress) -> int:
-    """S_rho by Moebius inversion on the subspace lattice of GF(2)^rank(H):
-    the support weights of the base that _peel leaves, up to dimension rho,
-    lifted through its m doublings, then weighed by _mobius_sum."""
-    base, m = _peel(h)
+def _count_on_lattice(base: BitMatrix, m: int, rho: int, threads: int | None, progress: Progress) -> int:
+    """S_rho by Moebius inversion on the subspace lattice of GF(2)^rank(H),
+    for the H that peel reads as m doublings of base: the base's support
+    weights, up to dimension rho, lifted through the m doublings, then
+    weighed by _mobius_sum."""
     s = base.rank()
     hist = _support_weights(base, range(min(rho, s) + 1), threads, progress)
     return _mobius_sum(_lift(hist, m), s + m, rho)
@@ -407,7 +389,7 @@ def s_rho_exact(
 
     Two exact routes give the same integer, and the one with less to visit
     runs: Moebius inversion on the subspace lattice when GF(2)^s, the space
-    of the base left once _peel takes the doublings off H, has no more
+    of the base left once peel takes the doublings off H, has no more
     subspaces of dimension <= rho than there are rho-subsets of columns,
     else the pruned enumeration of rho-subsets. Each route splits its work
     into parts (the base's echelon pivot sets, or the first column index)
@@ -437,11 +419,15 @@ def s_rho_exact(
     # the peeled lattice walks the subspaces of the base's GF(2)^s, and
     # rank(H) = m + s. It also needs a table of 2^s column counts; the rule
     # keeps 2^s below C(n, rho), as the j = 0 and 1 terms alone sum to 2^s
-    s = rank - _peel(h)[1]
+    base, m = peel(h)
+    s = rank - m
     subspaces = sum(_gaussian_binomial(s, j) for j in range(min(rho, s) + 1))
-    route, units = (_count_on_lattice, subspaces) if subspaces <= total else (_count_by_enumeration, total)
+    if subspaces <= total:
+        route, units = partial(_count_on_lattice, base, m), subspaces
+    else:
+        route, units = partial(_count_by_enumeration, h), total
     workers = thread_count(threads)
-    return route(h, rho, workers if units >= _THREADED_UNITS else 1, progress)
+    return route(rho, workers if units >= _THREADED_UNITS else 1, progress)
 
 
 # ---------------------------------------------------------------------------

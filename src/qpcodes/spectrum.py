@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import Code, seed
+from .construct import Code, peel
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix, gf2_basis
 
@@ -249,27 +249,20 @@ def dual_spectrum(c: Code) -> WeightSpectrum:
 
 
 def spectrum_by_doubling(c: Code) -> WeightSpectrum:
-    """Recursion route: oracle the seed spectrum, then one step per doubling."""
-    lin = c.spec.lineage
-    if lin.seed is None:
-        raise PreconditionError("code has no seed lineage; only the oracle route applies")
-    if lin.shortened:
-        raise PreconditionError("shortened codes have no doubling recursion; use the oracle")
+    """Recursion route: peel the doublings off H, oracle the base's
+    spectrum, then one step per doubling."""
     _check_spectrum_budget(c.spec.n, c.dimension())
     if c.spec.n**3 > _DOUBLING_WORK_BUDGET:
         raise BudgetError(
             f"doubling recursion to length {c.spec.n} is over the 2^"
             f"{_DOUBLING_WORK_BUDGET.bit_length() - 1} work budget (n^3); the oracle route applies"
         )
-    base = seed(lin.seed)
-    steps = lin.doublings - base.spec.lineage.doublings
-    if steps < 0:
-        raise ConsistencyError("lineage records fewer doublings than its seed")
-    s = oracle_spectrum(base)
-    for _ in range(steps):
+    base, m = peel(c.H)
+    if not m:
+        raise PreconditionError("H is not written as a length doubling; only the oracle route applies")
+    s = spectrum_of_matrix(base)
+    for _ in range(m):
         s = double_spectrum_step(s)
-    if s.n != c.spec.n:
-        raise ConsistencyError(f"lineage walks to length {s.n}, code has length {c.spec.n}")
     return s
 
 

@@ -10,6 +10,7 @@ from qpcodes import cli
 from qpcodes.cli import main
 from qpcodes.construct import CodeSpec, extended_hamming, panchenko, shorten
 from qpcodes.product_sim import SimConfig, default_product_code, failure_probability
+from qpcodes.spectrum import WeightSpectrum
 
 
 def read_csv(path):
@@ -81,9 +82,21 @@ def test_spectrum_from_file_without_sidecar(tmp_path):
     assert main(["spectrum", "--code", str(mat), "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
     assert blob["counts"] == {"0": "1", "4": "14", "8": "1"}
-    # the doubling recursion needs the construction history
+    # the doubling recursion reads the doublings off the matrix itself
+    walked = tmp_path / "walked.json"
     assert main(["spectrum", "--code", str(mat), "--method", "recursion",
-                 "--out", str(out)]) == 2
+                 "--out", str(walked)]) == 0
+    assert json.loads(walked.read_text())["counts"] == {"0": "1", "4": "14", "8": "1"}
+
+
+def test_spectrum_of_a_file_without_sidecar_matches_the_named_code(tmp_path):
+    mat = tmp_path / "pan7.txt"
+    assert main(["construct", "--family", "panchenko", "--r", "7", "--out", str(mat)]) == 0
+    Path(str(mat) + ".json").unlink()
+    from_file, named = tmp_path / "file.json", tmp_path / "named.json"
+    assert main(["spectrum", "--code", str(mat), "--method", "both", "--out", str(from_file)]) == 0
+    assert main(["spectrum", "--code", "pan7", "--method", "both", "--out", str(named)]) == 0
+    assert from_file.read_bytes() == named.read_bytes()
 
 
 def test_spectrum_both_fails_closed_on_mismatch(tmp_path):
@@ -101,16 +114,40 @@ def test_spectrum_both_fails_closed_on_mismatch(tmp_path):
     assert not out.exists()
 
 
-def test_spectrum_both_fails_closed_when_only_the_spectrum_is_wrong(tmp_path):
+@pytest.mark.parametrize("code,method", [("pan6", "both"), ("file", "recursion"), ("file", "both")])
+def test_spectrum_fails_closed_when_the_routes_disagree(tmp_path, monkeypatch, capsys, code, method):
+    # both routes read the same H, so only a fault in one can part them: one
+    # A_4 word moved to weight 5 stands in for it
+    def faulty(c):
+        counts = list(recursion(c).counts)
+        counts[4], counts[5] = counts[4] - 1, counts[5] + 1
+        return WeightSpectrum(c.spec.n, tuple(counts))
+
+    recursion = cli.spectrum_by_doubling
+    if code == "file":
+        code = str(tmp_path / "pan6.txt")
+        assert main(["construct", "--family", "panchenko", "--r", "6", "--out", code]) == 0
+    monkeypatch.setattr(cli, "spectrum_by_doubling", faulty)
+    out = tmp_path / "spec.json"
+    capsys.readouterr()
+    assert main(["spectrum", "--code", code, "--method", method, "--out", str(out)]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_spectrum_both_fails_closed_when_only_the_spectrum_is_wrong(tmp_path, capsys):
     # a [20,14,4] matrix that is not pan6, under pan6's sidecar: the distance
-    # check passes, so the recursion/oracle comparison must catch it
+    # check passes, but the shortened matrix has no doubling to peel, so the
+    # recursion refuses it whatever the sidecar's lineage says
     mat = tmp_path / "pan6.txt"
     assert main(["construct", "--family", "panchenko", "--r", "6", "--out", str(mat)]) == 0
     mat.write_text(shorten(extended_hamming(6), list(range(20, 32))).H.to_text())
 
     out = tmp_path / "spec.json"
+    capsys.readouterr()
     assert main(["spectrum", "--code", str(mat), "--method", "both",
-                 "--out", str(out)]) == 3
+                 "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
     assert main(["spectrum", "--code", str(mat), "--out", str(out)]) == 0
 

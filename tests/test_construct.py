@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from qpcodes.construct import (
+    SEED_NAMES,
     Code,
     CodeSpec,
     Lineage,
@@ -14,6 +15,7 @@ from qpcodes.construct import (
     general_qp,
     is_quasi_perfect,
     panchenko,
+    peel,
     seed,
     shorten,
 )
@@ -118,6 +120,41 @@ def test_double_distance_bookkeeping():
     assert double(hamming_734()).spec.d == 3  # d=3 stays 3
     with pytest.raises(PreconditionError):
         double(Code(CodeSpec(2, 1, 2, Lineage()), BitMatrix((0b11,), 2)))
+
+
+# a chain starts from each seed, and from two codes that peel nothing
+PEEL_STARTS = {
+    **{name: lambda name=name: seed(name) for name in SEED_NAMES},
+    "eh5-short1": lambda: shorten(extended_hamming(5), [15]),
+    "hamming_734": hamming_734,
+}
+
+
+@pytest.mark.parametrize("start", list(PEEL_STARTS))
+def test_peel_undoes_each_doubling(start):
+    c = PEEL_STARTS[start]()
+    base, m = peel(c.H)
+    for _ in range(4):
+        c = double(c)
+        m += 1
+        assert peel(c.H) == (base, m)
+
+
+# what each family peels to, by r: (base, doublings)
+PEELED_FAMILIES = {
+    **{f"eh{r}": (lambda r=r: extended_hamming(r), BitMatrix((1,), 1), r - 1) for r in range(3, 10)},
+    **{f"pan{r}": (lambda r=r: panchenko(r), seed("S").H, r - 4) for r in range(5, 10)},
+    **{
+        f"g3-r{r}": (lambda r=r: general_qp(r, 3, seed("example_9_5")), seed("example_9_5").H, r - 5)
+        for r in range(6, 10)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PEELED_FAMILIES))
+def test_each_family_peels_to_its_seed(name):
+    build, base, m = PEELED_FAMILIES[name]
+    assert peel(build().H) == (base, m)
 
 
 def test_family_builders_stop_at_the_length_cap():

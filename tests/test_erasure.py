@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qpcodes import cli, erasure, spectrum
-from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, general_qp, panchenko, seed, shorten
+from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, general_qp, panchenko, peel, seed, shorten
 from qpcodes.erasure import (
     ErasureReport,
     delta_entropy_bound,
@@ -233,7 +233,7 @@ ROUTE_CELLS = {
 def test_exact_route_rule(monkeypatch, cell):
     build, rho, subspaces, count, route = ROUTE_CELLS[cell]
     code = build()
-    base, _ = erasure._peel(code.H)
+    base, _ = peel(code.H)
     s = base.rank()
     assert sum(erasure._gaussian_binomial(s, j) for j in range(min(rho, s) + 1)) == subspaces
     assert (subspaces <= math.comb(code.spec.n, rho)) == (route == "_count_on_lattice")
@@ -302,7 +302,7 @@ def test_lattice_equals_enumeration_and_brute_force(monkeypatch, work_ceiling, s
         for name, (h, rhos) in LATTICE_CASES.items():
             for rho in rhos:
                 expect = brute_s_rho(h, rho)
-                assert erasure._count_on_lattice(h, rho, threads, None) == expect, (name, rho)
+                assert erasure._count_on_lattice(*peel(h), rho, threads, None) == expect, (name, rho)
                 assert erasure._count_by_enumeration(h, rho, threads, None) == expect, (name, rho)
             # past rank(H) the frontier dies: at the last level, or one before it
             for rho in (h.rank() + 1, h.rank() + 2):
@@ -313,9 +313,9 @@ def test_lattice_equals_enumeration_and_brute_force(monkeypatch, work_ceiling, s
 def test_rank_10_lattice_equals_brute_force(work_ceiling, threads):
     # 175,275 subspaces of dimension <= 2; pivot set (0, 1) alone takes 16 slices
     h = LATTICE_CASES["rank10"][0]
-    assert erasure._peel(h) == (h, 0) and h.rank() == 10
+    assert peel(h) == (h, 0) and h.rank() == 10
     with work_ceiling(512 * 2**20, 60):
-        assert erasure._count_on_lattice(h, 2, threads, None) == brute_s_rho(h, 2)
+        assert erasure._count_on_lattice(*peel(h), 2, threads, None) == brute_s_rho(h, 2)
 
 
 @pytest.mark.parametrize("n", [255, 256])
@@ -326,7 +326,7 @@ def test_lattice_counts_reach_the_top_of_their_dtype(n, rank):
     rng = random.Random(n * rank)
     cols = list(range(1 << rank)) + [rng.randrange(1 << rank) for _ in range(n - (1 << rank))]
     h = column_matrix(cols, rank)
-    assert erasure._peel(h)[1] == 0
+    assert peel(h)[1] == 0
     assert np.min_scalar_type(n) == (np.uint8 if n == 255 else np.uint16)
     per_word = Counter(cols)
     for rho in range(1, rank + 1):
@@ -335,7 +335,7 @@ def test_lattice_counts_reach_the_top_of_their_dtype(n, rank):
             for words in combinations(range(1, 1 << rank), rho)
             if gf2_rank(list(words)) == rho
         )
-        assert erasure._count_on_lattice(h, rho, 2, None) == expect, rho
+        assert erasure._count_on_lattice(*peel(h), rho, 2, None) == expect, rho
 
 
 def every_subspace(s: int) -> set[frozenset]:
@@ -355,7 +355,7 @@ def test_support_weights_equal_a_count_over_every_subspace(monkeypatch, slice_, 
     monkeypatch.setattr(erasure, "_LATTICE_SLICE", slice_)
     for name in ("rank3", "rank5", "rank6"):
         base = LATTICE_CASES[name][0]
-        assert erasure._peel(base)[1] == 0
+        assert peel(base)[1] == 0
         s, n = base.rank(), base.cols
         words = erasure._column_words(base).tolist()
         expect = np.zeros((s + 1, n + 1), dtype=np.int64)
@@ -393,7 +393,7 @@ def test_support_weights_lift_to_the_dual_spectrum(name):
     weights is the dual spectrum, on the base and on the full code."""
     build, doublings = DUAL_CASES[name]
     code = build()
-    base, m = erasure._peel(code.H)
+    base, m = peel(code.H)
     assert m == doublings
     s, nb, n, rank = base.rank(), base.cols, code.spec.n, code.H.rank()
     assert rank == s + m
@@ -484,10 +484,10 @@ def test_peeled_count_equals_unpeeled(name):
     count of the same columns in reverse order, which cannot peel."""
     build, doublings, seed_rank = PEEL_GRID[name]
     code = build()
-    base, m = erasure._peel(code.H)
+    base, m = peel(code.H)
     assert (m, base.rank()) == (doublings, seed_rank)
     unpeeled = reversed_columns(code)
-    assert erasure._peel(unpeeled.H)[1] == 0
+    assert peel(unpeeled.H)[1] == 0
     n, rank = code.spec.n, code.H.rank()
     for rho in range(1, min(rank, 7) + 1):
         budget = math.comb(n, rho)
@@ -496,7 +496,7 @@ def test_peeled_count_equals_unpeeled(name):
 
 def test_one_row_matrix_does_not_peel():
     h = BitMatrix((0b11110000,), 8)  # 0...0|1...1: a doubling of no rows
-    assert erasure._peel(h) == (h, 0)
+    assert peel(h) == (h, 0)
     for rho in range(0, 3):
         expect = brute_s_rho(h, rho) if rho else 1
         assert s_rho_exact(bare_code(h), rho) == expect
@@ -506,7 +506,7 @@ def test_unequal_halves_do_not_peel():
     # eh4 with one bit of row 1 flipped in the high half: row 0 still reads
     # 0...0|1...1, but row 1 is no longer r | r << 4
     h = BitMatrix((eh4.H.rows[0], eh4.H.rows[1] ^ 1 << 7) + eh4.H.rows[2:], 8)
-    assert erasure._peel(h) == (h, 0)
+    assert peel(h) == (h, 0)
     for rho in range(1, 5):
         assert s_rho_exact(bare_code(h), rho) == brute_s_rho(h, rho)
 
@@ -514,8 +514,8 @@ def test_unequal_halves_do_not_peel():
 def test_top_row_out_of_place_does_not_peel():
     eh5 = extended_hamming(5)
     moved = bare_code(BitMatrix(eh5.H.rows[1:] + eh5.H.rows[:1], eh5.spec.n))
-    assert erasure._peel(moved.H)[1] == 0
-    assert erasure._peel(eh5.H)[1] == 4
+    assert peel(moved.H)[1] == 0
+    assert peel(eh5.H)[1] == 4
     for rho in range(1, 6):
         assert s_rho_exact(moved, rho) == s_rho_exact(eh5, rho)
 

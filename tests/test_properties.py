@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpcodes import erasure
-from qpcodes.construct import Code, CodeSpec, extended_hamming, panchenko, shorten
+from qpcodes.construct import Code, CodeSpec, extended_hamming, panchenko, peel, shorten
 from qpcodes.erasure import is_exact_regime, psi, s_rho_exact
 from qpcodes.gf2 import BitMatrix
 from qpcodes.spectrum import oracle_spectrum
@@ -90,6 +90,6 @@ def test_lattice_count_equals_enumeration(data):
     h = data.draw(lattice_matrices())
     rank = h.rank()
     rho = data.draw(st.integers(0, rank + 1))
-    lattice = erasure._count_on_lattice(h, rho, 1, None)
+    lattice = erasure._count_on_lattice(*peel(h), rho, 1, None)
     # the enumerator counts from rho = 1 on; the empty set is independent
     assert lattice == (erasure._count_by_enumeration(h, rho, 1, None) if rho else 1)

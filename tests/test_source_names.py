@@ -65,3 +65,17 @@ def test_every_imported_name_is_read_or_exported():
                     if name not in read:
                         unread.append(f"{path.stem}: {name}")
     assert not unread, unread
+
+
+def test_only_construct_reads_a_lineage():
+    """A code's lineage is provenance, written, validated and echoed by
+    construct; what a code is built of is read from its matrix, so no other
+    module reads the attribute."""
+    readers = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "construct"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "lineage"
+    ]
+    assert not readers, readers
