@@ -170,6 +170,13 @@ def _fmt(value, digits: int) -> str:
     return f"{float(value):.{digits}f}"
 
 
+def _deviation(value, reference: str | None) -> float | None:
+    """A table value less its published reference, None when either is missing."""
+    if value is None or reference is None:
+        return None
+    return float(value) - float(reference)
+
+
 def _exact(value) -> str | None:
     if value is None:
         return None
@@ -373,23 +380,24 @@ def _cmd_table(args: argparse.Namespace) -> None:
     if args.which == 1:
         codes = _table1_codes(_parse_list(args.codes, str) if args.codes else [])
         rhos = tuple(_parse_list(args.rhos, int))
-        cells = table1(codes, rhos, exact_limit=args.exact_limit, samples=args.samples,
-                       master_seed=args.seed)
-        rows = [
-            [
-                (cell.label, cell.label),
-                (cell.r, cell.r),
-                (cell.n, cell.n),
-                (cell.rho, cell.rho),
-                (cell.report.method, cell.report.method),
-                (_fmt(cell.value, digits), _exact(cell.value)),
-                (cell.reference or "", cell.reference),
-                (_fmt(cell.deviation, digits), cell.deviation),
-            ]
-            for cell in cells
-        ]
+        rows = []
+        for label, code, rep in table1(codes, rhos, exact_limit=args.exact_limit, samples=args.samples,
+                                       master_seed=args.seed):
+            r, value = code.spec.r, rep.delta_exact_or_estimate
+            ref = TABLE1_REFERENCE.get((label, r), {}).get(rep.rho)
+            deviation = _deviation(value, ref)
+            rows.append([
+                (label, label),
+                (r, r),
+                (rep.n, rep.n),
+                (rep.rho, rep.rho),
+                (rep.method, rep.method),
+                (_fmt(value, digits), _exact(value)),
+                (ref or "", ref),
+                (_fmt(deviation, digits), deviation),
+            ])
         _emit_table(args, _TABLE1_COLUMNS, rows, {"table": 1}, master_seed=args.seed)
-        print(f"wrote {len(cells)} benchmark cells to {args.out}")
+        print(f"wrote {len(rows)} benchmark cells to {args.out}")
         return
 
     ps = _parse_list(args.p, float)
@@ -404,7 +412,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
             p, dp = res.p, res.d_plus
             estimate = res.estimate_float
             ref = TABLE2_REFERENCE.get((p, dp))
-            deviation = estimate - float(ref) if ref is not None else None
+            deviation = _deviation(estimate, ref)
             rows.append([
                 (repr(p), p),
                 (dp, dp),

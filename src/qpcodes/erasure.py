@@ -51,7 +51,6 @@ __all__ = [
     "EntropyBounds",
     "ErasureReport",
     "SampleEstimate",
-    "TableCell",
     "binary_entropy",
     "delta_entropy_bound",
     "delta_lower",
@@ -398,9 +397,10 @@ def s_rho_exact(
     with fewer than _THREADED_UNITS units to visit runs on the calling
     thread whatever threads says: its parts are short, and each numpy call
     drops and retakes the interpreter lock, so a second worker only makes
-    the first wait. threads is still checked first. A rho above rank(H)
-    counts 0 before the budget is read; otherwise the budget is read in
-    C(n, rho) subsets whichever route runs.
+    the first wait. threads is still checked first. The budget is read in
+    the units of the route that runs, base subspaces or rho-subsets, so a
+    refusal means that route would really visit that many; a rho above
+    rank(H) counts 0 before the budget is read.
     """
     h = code.H
     n = h.cols
@@ -412,10 +412,6 @@ def s_rho_exact(
     if rho > rank:
         return 0  # a subset's rank is capped by rank(H), whatever the budget
     total = math.comb(n, rho)
-    if total > budget:
-        raise BudgetError(
-            f"exact count would examine C({n},{rho}) = {total} subsets, over budget {budget}"
-        )
     # the peeled lattice walks the subspaces of the base's GF(2)^s, and
     # rank(H) = m + s. It also needs a table of 2^s column counts; the rule
     # keeps 2^s below C(n, rho), as the j = 0 and 1 terms alone sum to 2^s
@@ -423,9 +419,11 @@ def s_rho_exact(
     s = rank - m
     subspaces = sum(_gaussian_binomial(s, j) for j in range(min(rho, s) + 1))
     if subspaces <= total:
-        route, units = partial(_count_on_lattice, base, m), subspaces
+        route, units, work = partial(_count_on_lattice, base, m), subspaces, f"{subspaces} subspaces of GF(2)^{s}"
     else:
-        route, units = partial(_count_by_enumeration, h), total
+        route, units, work = partial(_count_by_enumeration, h), total, f"C({n},{rho}) = {total} subsets"
+    if units > budget:
+        raise BudgetError(f"exact count would visit {work}, over budget {budget}")
     workers = thread_count(threads)
     return route(rho, workers if units >= _THREADED_UNITS else 1, progress)
 
@@ -669,26 +667,6 @@ TABLE1_REFERENCE: dict[tuple[str, int], dict[int, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class TableCell:
-    label: str
-    r: int
-    n: int
-    rho: int
-    report: ErasureReport
-    reference: str | None
-
-    @property
-    def value(self) -> Fraction | None:
-        return self.report.delta_exact_or_estimate
-
-    @property
-    def deviation(self) -> float | None:
-        if self.reference is None or self.value is None:
-            return None
-        return float(self.value) - float(self.reference)
-
-
 def table1(
     codes: list[tuple[str, Code]],
     rhos: tuple[int, ...] = (4, 5, 6, 7),
@@ -696,11 +674,11 @@ def table1(
     exact_limit: int = 10**9,
     samples: int = 10**8,
     master_seed: int = 1,
-) -> list[TableCell]:
+) -> list[tuple[str, Code, ErasureReport]]:
     """The benchmark delta grid: exact counts where affordable, sampling above.
 
-    codes are (label, code) pairs; a label and r keyed in TABLE1_REFERENCE
-    pick up the published value.
+    codes are (label, code) pairs; one (label, code, report) per code and
+    rho, in the order they run.
     """
     cells = []
     for label, code in codes:
@@ -715,6 +693,5 @@ def table1(
                 exact_limit=exact_limit,
                 provider=provider,
             )
-            ref = TABLE1_REFERENCE.get((label, code.spec.r), {}).get(rho)
-            cells.append(TableCell(label, code.spec.r, code.spec.n, rho, rep, ref))
+            cells.append((label, code, rep))
     return cells

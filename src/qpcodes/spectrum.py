@@ -118,14 +118,6 @@ class WeightSpectrum:
             "counts": {str(w): str(c) for w, c in self.nonzero_items()},
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightSpectrum":
-        n = int(obj["n"])
-        counts = [0] * (n + 1)
-        for w, c in obj["counts"].items():
-            counts[int(w)] = int(c)
-        return cls(n, tuple(counts))
-
 
 def double_spectrum_step(s: WeightSpectrum) -> WeightSpectrum:
     """Spectrum of the doubled code from the half-length spectrum.

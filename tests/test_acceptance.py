@@ -199,8 +199,9 @@ def test_criterion_05_reference_grid_extended_regime():
 
 def test_sampled_grid_cells_are_exact_on_the_lattice():
     """The four r=8 cells criterion 5 samples, counted exactly, and within the
-    1e-4 slack of their printed values. eh8 rho=7 has C(128,7) = 9.45e10
-    subsets, over the default budget, so the budget is raised to C(n, rho).
+    1e-4 slack of their printed values. The budget is read in the units of
+    the route that runs, so the default admits every cell, eh8 rho=7 with
+    its C(128,7) = 9.45e10 subsets included; C(n, rho) is a looser one.
     The lattice route peels the doublings off H and visits the subspaces of
     the base: 67 of GF(2)^4 under the seed S for pan8, 2 of GF(2)^1 for eh8."""
     expect = {

@@ -235,9 +235,29 @@ def test_erasure_bound_only_methods(tmp_path):
     assert float(row["delta_entropy_bound"]) > float(row["delta_weak_bound"]) > 0
 
 
-def test_erasure_budget_refusal(tmp_path):
-    assert main(["erasure", "--code", "eh8", "--rho-min", "7", "--rho-max", "7",
+def test_erasure_budget_refusal(tmp_path, capsys):
+    # pan14 less its last column peels nothing, so the lattice would walk the
+    # 3,597,226,406,753 subspaces of GF(2)^14 of dimension <= 4
+    m = str(tmp_path / "m.txt")
+    assert main(["construct", "--family", "panchenko", "--r", "14", "--shorten", "1", "--out", m]) == 0
+    capsys.readouterr()
+    assert main(["erasure", "--code", m, "--rho-min", "4", "--rho-max", "4",
                  "--exact", "--out", str(tmp_path / "x.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "budget exceeded: exact count would visit 3597226406753 subspaces of GF(2)^14, over budget 10000000000"
+    ]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_erasure_exact_on_the_lattice_past_the_subset_budget(tmp_path):
+    # C(128,7) = 94,525,795,200 subsets is over the budget, but eh8 peels to
+    # the base [1], and the lattice visits the 2 subspaces of GF(2)^1
+    out = tmp_path / "x.csv"
+    assert main(["erasure", "--code", "eh8", "--rho-min", "7", "--rho-max", "7",
+                 "--exact", "--out", str(out)]) == 0
+    row, = read_csv(out)
+    assert (row["method"], row["s_exact_or_estimate"]) == ("exact", "65019838464")
 
 
 def test_erasure_flag_validation(tmp_path):
@@ -285,6 +305,23 @@ def test_table1_single_code(tmp_path):
     assert rows[0]["reference"] == "0.9870"
     assert all(abs(float(r["deviation"])) < 1e-4 for r in rows)
     assert {r["method"] for r in rows} == {"exact"}
+
+
+def test_tables_leave_rows_without_a_reference_blank(tmp_path):
+    # eh6 and p=2e-3 have no published value; pan7 rho=4 and p=1e-2 do
+    grids = [
+        ["--which", "1", "--codes", "eh6,pan7", "--rhos", "4"],
+        ["--which", "2", "--p", "2e-3,1e-2", "--dplus", "3", "--trials", "200"],
+    ]
+    for grid, value in zip(grids, ("value", "estimate")):
+        out = tmp_path / "t.csv"
+        assert main(["table", *grid, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "t.csv.json").read_text())["rows"]
+        (blank, cell), (blank_json, cell_json) = read_csv(out), sidecar
+        assert (blank["reference"], blank["deviation"]) == ("", "")
+        assert (blank_json["reference"], blank_json["deviation"]) == (None, None)
+        assert cell["reference"] == cell_json["reference"] and cell["deviation"] != ""
+        assert cell_json["deviation"] == float(Fraction(cell_json[value])) - float(cell_json["reference"])
 
 
 def test_table2_subgrid(tmp_path):

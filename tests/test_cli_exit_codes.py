@@ -169,6 +169,20 @@ def test_spectrum_past_the_budget_exits_4_quickly(tmp_path, method):
 
 
 @pytest.mark.parametrize("argv", [
+    ["erasure", "--code", "m.txt", "--rho-min", "4", "--rho-max", "4", "--sample", "10", "--out", "e.csv"],
+    ["spectrum", "--code", "m.txt", "--method", "oracle", "--out", "s.json"],
+], ids=["erasure-sample", "spectrum-oracle"])
+def test_matrix_file_past_the_walk_rank_exits_4(tmp_path, argv):
+    # a matrix file's distance is read by walking its row space, capped at
+    # rank 26, before any method runs; the kernels alone would take rank 64
+    (tmp_path / "m.txt").write_text("27 28\n" + "".join("0" * i + "1" + "0" * (26 - i) + "1\n" for i in range(27)))
+    res = run(tmp_path, argv, timeout=10)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr == "budget exceeded: row space of rank 27 exceeds 2^26 budget\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+
+@pytest.mark.parametrize("argv", [
     ["--trials", "1000000000000"],
     ["--trials", "1", "--stratified", "--per-stratum", "1000000000000"],
 ])

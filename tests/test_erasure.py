@@ -11,6 +11,7 @@ import pytest
 from qpcodes import cli, erasure, spectrum
 from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, general_qp, panchenko, peel, seed, shorten
 from qpcodes.erasure import (
+    TABLE1_REFERENCE,
     ErasureReport,
     delta_entropy_bound,
     delta_lower,
@@ -546,9 +547,16 @@ def test_sampler_is_within_four_sigma_of_exact_past_r8(cell):
 
 
 def test_exact_count_budget_refusal():
-    with pytest.raises(BudgetError) as err:
-        s_rho_exact(extended_hamming(7), 7, budget=10**6)
-    assert str(math.comb(64, 7)) in str(err.value)
+    # the budget is read in the units of the route that runs: eh7 peels to
+    # the base [1], whose GF(2)^1 has 2 subspaces, and pan5 reversed peels
+    # nothing and takes the enumeration of its C(10,4) = 210 subsets
+    eh7, unpeeled = extended_hamming(7), reversed_columns(pan5)
+    with pytest.raises(BudgetError, match=r"visit 2 subspaces of GF\(2\)\^1, over budget 1$"):
+        s_rho_exact(eh7, 7, budget=1)
+    with pytest.raises(BudgetError, match=r"visit C\(10,4\) = 210 subsets, over budget 209$"):
+        s_rho_exact(unpeeled, 4, budget=209)
+    assert s_rho_exact(eh7, 7, budget=2) == s_rho_exact(eh7, 7)
+    assert s_rho_exact(unpeeled, 4, budget=210) == s_rho_exact(pan5, 4)
 
 
 def test_exact_count_above_rank_is_zero_whatever_the_budget():
@@ -1011,8 +1019,10 @@ def test_report_invariant_enforcement():
 
 
 def test_table_single_row_matches_reference():
-    cells = table1(codes=[("panchenko", panchenko(7))], rhos=(4, 5))
-    assert [c.reference for c in cells] == ["0.9870", "0.9287"]
-    for cell in cells:
-        assert cell.report.method == "exact"
-        assert abs(cell.deviation) <= 1e-4
+    pan7 = panchenko(7)
+    cells = table1(codes=[("panchenko", pan7)], rhos=(4, 5))
+    assert [(label, code, rep.rho) for label, code, rep in cells] == [("panchenko", pan7, 4), ("panchenko", pan7, 5)]
+    reference = TABLE1_REFERENCE[("panchenko", 7)]
+    for _, _, rep in cells:
+        assert rep.method == "exact"
+        assert abs(float(rep.delta_exact_or_estimate) - float(reference[rep.rho])) <= 1e-4
