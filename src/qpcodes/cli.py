@@ -36,7 +36,7 @@ from .construct import (
     seed,
     shorten,
 )
-from .erasure import TABLE1_REFERENCE, erasure_report, table1, trailing_shortening_provider
+from .erasure import TABLE1_REFERENCE, SpectrumProvider, erasure_report, table1, trailing_shortening_provider
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix
 from .product_sim import (
@@ -46,7 +46,7 @@ from .product_sim import (
     failure_probabilities,
     failure_probability,
 )
-from .spectrum import WeightSpectrum, oracle_spectrum, spectrum_by_doubling
+from .spectrum import spectrum_by_doubling
 
 # every spelling of the two named families, to the label Table 1 uses
 _FAMILIES = {"eh": "hamming", "hamming": "hamming", "pan": "panchenko", "panchenko": "panchenko"}
@@ -132,14 +132,15 @@ def _build(family: str, r: int) -> Code:
     return extended_hamming(r) if family == "hamming" else panchenko(r)
 
 
-def _resolve_code(token: str) -> tuple[Code, list[Path], WeightSpectrum | None]:
+def _resolve_code(token: str) -> tuple[Code, list[Path], SpectrumProvider]:
     """A code named like eh7/panchenko8, or a matrix file with optional
     <file>.json sidecar carrying its metadata; then the files read, and the
-    spectrum of a matrix file, walked once for its distance (None for a
-    named code)."""
+    code's spectrum provider, which keeps a matrix file's spectrum, walked
+    once for its distance, as its full length."""
     name = _parse_name(token)
     if name:
-        return _build(*name), [], None
+        code = _build(*name)
+        return code, [], trailing_shortening_provider(code)
     path = Path(token)
     if not path.is_file():
         raise PreconditionError(
@@ -150,7 +151,8 @@ def _resolve_code(token: str) -> tuple[Code, list[Path], WeightSpectrum | None]:
     d = walked.min_nonzero()
     sidecar = Path(str(path) + ".json")
     if not sidecar.is_file():
-        return Code(CodeSpec(h.cols, h.nrows, d, Lineage()), h), [path], walked
+        code = Code(CodeSpec(h.cols, h.nrows, d, Lineage()), h)
+        return code, [path], trailing_shortening_provider(code, walked)
     try:
         spec = CodeSpec.from_json(json.loads(sidecar.read_text()))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -161,7 +163,7 @@ def _resolve_code(token: str) -> tuple[Code, list[Path], WeightSpectrum | None]:
         raise ConsistencyError(
             f"{sidecar} says d={code.spec.d}, but the matrix has minimum distance {d}"
         )
-    return code, [path, sidecar], walked
+    return code, [path, sidecar], trailing_shortening_provider(code, walked)
 
 
 def _fmt(value, digits: int) -> str:
@@ -227,16 +229,14 @@ def _cmd_construct(args: argparse.Namespace) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> None:
-    code, inputs, walked = _resolve_code(args.code)
+    code, inputs, provider = _resolve_code(args.code)
     if args.method == "oracle":
-        ws = walked if walked is not None else oracle_spectrum(code)
+        ws = provider(code.spec.n)
     else:  # never emit anything on mismatch
         ws = spectrum_by_doubling(code)
-        if walked is None and args.method == "both":
-            walked = oracle_spectrum(code)
-        # a matrix file's spectrum is walked already, so the recursion is
-        # checked against it under --method recursion too
-        if walked is not None and ws != walked:
+        # a matrix file (one with inputs) had its spectrum walked already,
+        # so the recursion is checked against it under --method recursion too
+        if (args.method == "both" or inputs) and ws != provider(code.spec.n):
             raise ConsistencyError(
                 "recursion and oracle spectra disagree; refusing to write output"
             )
@@ -261,7 +261,7 @@ _ERASURE_COLUMNS = [
 def _cmd_erasure(args: argparse.Namespace) -> None:
     if not 0 <= args.digits <= _MAX_DIGITS:
         raise PreconditionError(f"--digits must be in 0..{_MAX_DIGITS}")
-    code, inputs, walked = _resolve_code(args.code)
+    code, inputs, provider = _resolve_code(args.code)
     if args.rho_min > args.rho_max:
         raise PreconditionError("--rho-min exceeds --rho-max")
     if args.sample is not None:
@@ -275,9 +275,6 @@ def _cmd_erasure(args: argparse.Namespace) -> None:
     else:
         method = "auto"
 
-    shortened = trailing_shortening_provider(code)
-    # a matrix file's full length was walked already, for its distance
-    provider = shortened if walked is None else (lambda m: walked if m == code.spec.n else shortened(m))
     digits = args.digits
     rows = []
     for rho in range(args.rho_min, args.rho_max + 1):

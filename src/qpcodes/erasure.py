@@ -122,17 +122,19 @@ def is_exact_regime(d: int, rho: int) -> bool:
     return 2 * rho <= 3 * d - 1
 
 
-def trailing_shortening_provider(code: Code) -> SpectrumProvider:
+def trailing_shortening_provider(code: Code, full: WeightSpectrum | None = None) -> SpectrumProvider:
     """A_w source for the recursive bound: length m = drop trailing columns.
 
     Which columns are removed matters for the shortened spectra; this
     default is the reproducible convention used everywhere in the package.
     Each length is walked once: a shortened code's distance check reads the
-    spectrum the provider keeps. Build one provider per code and pass it to
-    every erasure_report on that code.
+    spectrum the provider keeps, and full, a spectrum of the code walked
+    already, is length n's. Build one per code for every erasure_report on it.
     """
     n = code.spec.n
-    cache: dict[int, WeightSpectrum] = {}
+    if full is not None and full.n != n:
+        raise PreconditionError(f"spectrum is for length {full.n}, not {n}")
+    cache: dict[int, WeightSpectrum] = {} if full is None else {n: full}
 
     def provide(m: int) -> WeightSpectrum:
         if not 0 < m <= n:
@@ -352,15 +354,13 @@ def _lift(hist: np.ndarray, m: int) -> Counter:
     return lifted
 
 
-def _support_weights(base: BitMatrix, dims: range, threads: int | None, progress: Progress) -> np.ndarray:
-    """hist[w][c]: the w-dimensional subspaces W of the base's GF(2)^s that
-    hold c of its columns, for w in dims (other rows 0), one part per echelon
-    pivot set. W's annihilator is an (s-w)-dimensional subcode of the base's
-    dual, zero on just those columns: hist is the dual's support weight
+def _support_weights(words: np.ndarray, s: int, dims: range, threads: int | None, progress: Progress) -> np.ndarray:
+    """hist[w][c]: the w-dimensional subspaces W of GF(2)^s that hold c of
+    the base's column words, for w in dims (other rows 0), one part per
+    echelon pivot set. W's annihilator is an (s-w)-dimensional subcode of the
+    base's dual, zero on just those columns: hist is the dual's support weight
     distribution, hist[s-1][c] = B_{n-c} for c < n, and hist[s][n] = 1."""
-    s = base.rank()
-    cnt = np.bincount(_column_words(base).astype(np.intp), minlength=1 << s)
-    cnt = cnt.astype(np.min_scalar_type(base.cols))
+    cnt = np.bincount(words.astype(np.intp), minlength=1 << s).astype(np.min_scalar_type(words.size))
     level = np.eye(dims[-1] + 1, dtype=np.int64)  # a part's histogram goes to row w
     parts = [p for w in dims for p in combinations(range(s), w)]
     return _summed(lambda p: np.outer(level[len(p)], _lattice_term(cnt, p)), parts, threads, progress)
@@ -371,8 +371,9 @@ def _count_on_lattice(base: BitMatrix, m: int, rho: int, threads: int | None, pr
     for the H that peel reads as m doublings of base: the base's support
     weights, up to dimension rho, lifted through the m doublings, then
     weighed by _mobius_sum."""
-    s = base.rank()
-    hist = _support_weights(base, range(min(rho, s) + 1), threads, progress)
+    words = _column_words(base)
+    s = int(words.max()).bit_length()  # the words span GF(2)^s: one elimination
+    hist = _support_weights(words, s, range(min(rho, s) + 1), threads, progress)
     return _mobius_sum(_lift(hist, m), s + m, rho)
 
 
@@ -607,6 +608,10 @@ def erasure_report(
         raise PreconditionError(f"rho={rho} outside 0..{n}")
     if z is not None and not 0 <= z < math.inf:
         raise PreconditionError(f"z={z} must be finite and >= 0")
+    if recursion_depth is not None and recursion_depth < 1:
+        raise PreconditionError("depth must be >= 1")
+    if not 0 <= master_seed < 1 << 64:
+        raise PreconditionError("master seed must fit in 64 bits")
     total = math.comb(n, rho)
     chosen = method
     if method == "auto":

@@ -47,6 +47,8 @@ CASES = {
     "erasure-psi": ["erasure", "--code", "pan7", "--rho-min", "4", "--rho-max", "8", "--psi", "--out", "e.csv"],
     "erasure-recursive": ["erasure", "--code", "pan7", "--rho-min", "4", "--rho-max", "7", "--recursive", "2", "--out", "e.csv"],
     "erasure-rho-order": ["erasure", "--code", "eh5", "--rho-min", "6", "--rho-max", "4", "--out", "e.csv"],
+    "erasure-largest-seed": ["erasure", "--code", "eh6", "--rho-min", "5", "--rho-max", "5", "--sample", "100",
+                             "--seed", str((1 << 64) - 1), "--out", "e.csv"],
     "table-1": ["table", "--which", "1", "--codes", "eh7", "--rhos", "4,8", "--samples", "2000", "--exact-limit", "10000000", "--out", "t.csv"],
     "table-2-plain": ["table", "--which", "2", "--p", ",".join(P_GRID), "--dplus", "3,6", "--trials", "20", "--out", "t.csv"],
     "table-2-stratified": ["table", "--which", "2", "--p", "1e-2,1e-3", "--dplus", "4", "--stratified", "--per-stratum", "2", "--out", "t.csv"],
@@ -94,6 +96,15 @@ BAD = {
     # r past the interpreter's 4,300-digit limit on int()
     "spectrum-name-too-long": (["spectrum", "--code", "pan" + "9" * 5000, "--out", "s.json"], {}),
     "table-name-too-long": (["table", "--which", "1", "--codes", "eh" + "9" * 5000, "--out", "t.csv"], {}),
+    # a depth below 1 and a seed outside 0..2^64-1 are refused at every rho and for
+    # every method, before any work: pan5 has rank 5, and eh6 at rho = 5 samples nothing
+    "erasure-depth-0": (["erasure", "--code", "pan5", "--rho-min", "4", "--rho-max", "4", "--recursive", "0", "--out", "e.csv"], {}),
+    "erasure-depth-0-above-rank": (["erasure", "--code", "pan5", "--rho-min", "7", "--rho-max", "7", "--recursive", "0",
+                                    "--out", "e.csv"], {}),
+    "erasure-negative-seed": (["erasure", "--code", "eh6", "--rho-min", "5", "--rho-max", "5", "--seed", "-1", "--out", "e.csv"], {}),
+    "erasure-seed-past-64-bits": (["erasure", "--code", "eh6", "--rho-min", "5", "--rho-max", "5", "--sample", "100",
+                                   "--seed", str(1 << 64), "--out", "e.csv"], {}),
+    "table-1-negative-seed": (["table", "--which", "1", "--codes", "eh7", "--rhos", "4", "--seed", "-1", "--out", "t.csv"], {}),
 }
 
 

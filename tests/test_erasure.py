@@ -8,11 +8,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qpcodes import cli, erasure, spectrum
+from qpcodes import cli, erasure, gf2, spectrum
 from qpcodes.construct import Code, CodeSpec, Lineage, extended_hamming, general_qp, panchenko, peel, seed, shorten
 from qpcodes.erasure import (
     TABLE1_REFERENCE,
     ErasureReport,
+    binary_entropy,
     delta_entropy_bound,
     delta_lower,
     delta_tilde,
@@ -366,7 +367,8 @@ def test_support_weights_equal_a_count_over_every_subspace(monkeypatch, slice_, 
         for w in range(s + 1):
             parts = [erasure._lattice_term(cnt, p) for p in combinations(range(s), w)]
             assert np.array_equal(sum(parts), expect[w]), (name, w)
-        assert np.array_equal(erasure._support_weights(base, range(s + 1), threads, None), expect), name
+        hist = erasure._support_weights(erasure._column_words(base), s, range(s + 1), threads, None)
+        assert np.array_equal(hist, expect), name
 
 
 def _pan10_first100() -> Code:
@@ -398,7 +400,7 @@ def test_support_weights_lift_to_the_dual_spectrum(name):
     assert m == doublings
     s, nb, n, rank = base.rank(), base.cols, code.spec.n, code.H.rank()
     assert rank == s + m
-    hist = erasure._support_weights(base, range(s - 1, s + 1), 2, None)
+    hist = erasure._support_weights(erasure._column_words(base), s, range(s - 1, s + 1), 2, None)
     assert hist.shape == (s + 1, nb + 1) and not hist[: s - 1].any()
     # the base: one hyperplane per nonzero dual word, and GF(2)^s holds every column
     base_dual = spectrum.row_space_spectrum(base).counts
@@ -414,6 +416,19 @@ def test_support_weights_lift_to_the_dual_spectrum(name):
         # so the levels must run through dimension s
         short = {x: a for (i, x), a in erasure._lift(hist[:s], m).items() if i == rank - 1 and a}
         assert short != expect
+
+
+def test_a_lattice_count_eliminates_its_base_once(monkeypatch):
+    # the base's column words give s as well, so no second or third
+    # elimination of the same rows takes rank(base) again
+    pan10 = panchenko(10)
+    expect = s_rho_exact(pan10, 6)
+    base, m = peel(pan10.H)
+    calls = []
+    original = gf2.gf2_echelon
+    monkeypatch.setattr(gf2, "gf2_echelon", lambda vectors: calls.append(1) or original(vectors))
+    assert erasure._count_on_lattice(base, m, 6, 1, None) == expect
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -933,6 +948,24 @@ def test_cli_walks_a_matrix_file_once(monkeypatch, tmp_path):
     assert walks == [40]
 
 
+def test_a_provider_keeps_a_full_spectrum_walked_already(monkeypatch):
+    code = panchenko(6)
+    n = code.spec.n
+    full, short = oracle_spectrum(code), trailing_shortening_provider(code)(n - 1)
+    walks = _walked_lengths(monkeypatch)
+    assert trailing_shortening_provider(code, full)(n) is full
+    assert walks == []
+    with pytest.raises(PreconditionError, match=f"spectrum is for length {n - 1}, not {n}"):
+        trailing_shortening_provider(code, short)
+
+
+def test_cli_recursion_on_a_named_code_walks_only_the_peeled_base(monkeypatch, tmp_path):
+    walks = _walked_lengths(monkeypatch)
+    argv = ["spectrum", "--code", "pan7", "--method", "recursion", "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 0
+    assert walks == [5]  # the base S; H itself is never walked
+
+
 def test_shortening_never_lowers_a_stated_distance():
     pan6 = panchenko(6)
     overstated = Code(CodeSpec(pan6.spec.n, pan6.spec.r, 6), pan6.H)
@@ -962,6 +995,51 @@ def test_report_beyond_rank_keeps_psi_as_a_placeholder():
     eh6 = extended_hamming(6)
     assert psi(32, 4, 7, oracle_spectrum(eh6)) == -1_418_560
     assert erasure_report(eh6, 7).psi == 0
+
+
+# (call, error, message) for every refusal of the bounds and the report;
+# pan5 has n = 10 and rank 5, and seed M is the zero code
+REFUSALS = {
+    "provider-length": (lambda: trailing_shortening_provider(pan5)(11), PreconditionError, "provider asked for length 11"),
+    "psi-tilde-rho": (lambda: psi_tilde(10, 4, 11, trailing_shortening_provider(pan5)), PreconditionError, "outside 0..10"),
+    "psi-tilde-depth": (lambda: psi_tilde(10, 4, 4, trailing_shortening_provider(pan5), depth=0), PreconditionError,
+                        "depth must be >= 1"),
+    "entropy-range": (lambda: binary_entropy(1.5), PreconditionError, r"in \[0, 1\]"),
+    "exact-rho": (lambda: s_rho_exact(pan5, 11), PreconditionError, "outside 0..10"),
+    "report-delta-range": (
+        lambda: ErasureReport(n=10, rho=4, total=210, psi=200, psi_tilde=200, delta_lower=Fraction(211, 210),
+                              delta_tilde=Fraction(0), delta_tilde_2=Fraction(0), method="psi-bound"),
+        ConsistencyError, r"delta_lower=211/210 outside \[0, 1\]"),
+    "report-zero-code": (lambda: erasure_report(seed("M"), 1), PreconditionError, "zero code"),
+    "report-rho": (lambda: erasure_report(pan5, 11), PreconditionError, "outside 0..10"),
+    "report-z": (lambda: erasure_report(pan5, 4, z=-1.0), PreconditionError, "finite and >= 0"),
+    "report-samples": (lambda: erasure_report(pan5, 4, method="sampled", samples=0), PreconditionError,
+                       "at least one sample"),
+    # the depth and the seed are checked before any work, above rank(H) too
+    "report-depth-below-rank": (lambda: erasure_report(pan5, 4, recursion_depth=0), PreconditionError,
+                                "depth must be >= 1"),
+    "report-depth-above-rank": (lambda: erasure_report(pan5, 7, recursion_depth=0), PreconditionError,
+                                "depth must be >= 1"),
+    "report-negative-seed": (lambda: erasure_report(pan5, 4, master_seed=-1), PreconditionError,
+                             "master seed must fit in 64 bits"),
+    "report-seed-past-64-bits-sampled": (lambda: erasure_report(pan5, 4, method="sampled", samples=10, master_seed=1 << 64),
+                                         PreconditionError, "master seed must fit in 64 bits"),
+    "report-seed-past-64-bits-above-rank": (lambda: erasure_report(pan5, 7, master_seed=1 << 64), PreconditionError,
+                                            "master seed must fit in 64 bits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_every_bound_and_report_refusal_is_raised(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_the_largest_64_bit_seed_is_accepted():
+    top = (1 << 64) - 1
+    assert erasure_report(pan5, 4, method="sampled", samples=10, master_seed=top).sample.master_seed == top
+    assert erasure_report(pan5, 7, master_seed=top).s_rho_exact == 0
 
 
 def test_report_sampled_path():
