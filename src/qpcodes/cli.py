@@ -20,7 +20,6 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -180,11 +179,7 @@ def _deviation(value, reference: str | None) -> float | None:
 
 
 def _exact(value) -> str | None:
-    if value is None:
-        return None
-    if isinstance(value, Fraction) or isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    return None if value is None else str(value)
 
 
 # ---------------------------------------------------------------------------

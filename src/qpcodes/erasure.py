@@ -101,8 +101,6 @@ def psi(n: int, d: int, rho: int, s: WeightSpectrum) -> int:
         raise PreconditionError(f"spectrum is for length {s.n}, not {n}")
     if d < 1:
         raise PreconditionError("distance must be positive")
-    if rho < d:
-        return math.comb(n, rho)
     return math.comb(n, rho) - sum(
         s.counts[w] * comb0(n - w, rho - w) for w in range(d, rho + 1)
     )
@@ -152,31 +150,33 @@ def psi_tilde(
     """Recursive refinement of psi: dependent sets are counted as a codeword
     support plus an *independent* remainder in the shortened code.
 
-    depth=None runs the recursion to its natural base case (remainder below
-    d); depth=k truncates after k levels, treating deeper remainders as all
-    independent. depth=1 reproduces psi; depth=2 is the two-step estimate.
+    A step takes a codeword weight from the pattern weight q and the length
+    alike, so each level is valued on q at length n - rho + q. depth=k stops
+    after k levels (1 is psi, 2 the two-step estimate); as a level takes at
+    least d, depth=None is depth rho // d.
     """
     if not 0 <= rho <= n:
         raise PreconditionError(f"rho={rho} outside 0..{n}")
+    if d < 1:
+        raise PreconditionError("distance must be positive")
     if depth is not None and depth < 1:
         raise PreconditionError("depth must be >= 1")
-    memo: dict[tuple[int, int, int | None], int] = {}
-
-    def f(m: int, q: int, rem: int | None) -> int:
-        if q < d or rem == 0:
-            return comb0(m, q)
-        key = (m, q, rem)
-        if key not in memo:
-            counts = provider(m).counts
-            nxt = None if rem is None else rem - 1
-            memo[key] = comb0(m, q) - sum(
-                counts[w] * f(m - w, q - w, nxt)
-                for w in range(d, min(q, m) + 1)
-                if counts[w]
-            )
-        return memo[key]
-
-    return f(n, rho, depth)
+    c = n - rho
+    top = rho // d if depth is None else min(depth, rho // d)
+    # top down: the spectrum of every weight each level reaches
+    levels = [{rho: provider(n).counts}] if top else []
+    while len(levels) < top:
+        below = {q - w for q, a in levels[-1].items() for w in range(d, q - d + 1) if a[w]}
+        levels.append({q: provider(c + q).counts for q in sorted(below, reverse=True)})
+    # bottom up: a remainder the level below does not value is all independent
+    value: dict[int, int] = {}
+    for level in reversed(levels):
+        value = {
+            q: math.comb(c + q, q)
+            - sum(a[w] * value.get(q - w, math.comb(c + q - w, q - w)) for w in range(d, q + 1) if a[w])
+            for q, a in level.items()
+        }
+    return value.get(rho, math.comb(n, rho))
 
 
 def delta_tilde(n: int, d: int, rho: int, provider: SpectrumProvider) -> Fraction:

@@ -105,6 +105,14 @@ BAD = {
     "erasure-seed-past-64-bits": (["erasure", "--code", "eh6", "--rho-min", "5", "--rho-max", "5", "--sample", "100",
                                    "--seed", str(1 << 64), "--out", "e.csv"], {}),
     "table-1-negative-seed": (["table", "--which", "1", "--codes", "eh7", "--rhos", "4", "--seed", "-1", "--out", "t.csv"], {}),
+    "construct-general-without-g": (["construct", "--family", "general", "--r", "6", "--out", "m.txt"], {}),
+    "construct-general-g-1": (["construct", "--family", "general", "--r", "6", "--g", "1", "--out", "m.txt"], {}),
+    "construct-seed-without-name": (["construct", "--family", "seed", "--out", "m.txt"], {}),
+    "table-1-unknown-code": (["table", "--which", "1", "--codes", "foo", "--out", "t.csv"], {}),
+    "table-1-rho-not-a-number": (["table", "--which", "1", "--rhos", "4,x", "--out", "t.csv"], {}),
+    "table-2-p-not-a-number": (["table", "--which", "2", "--p", "1e-2,abc", "--trials", "5", "--out", "t.csv"], {}),
+    "simulate-zero-per-stratum": (["simulate", "--p", "0.5", "--dplus", "3", "--trials", "1", "--stratified",
+                                   "--per-stratum", "0", "--out", "s.json"], {}),
 }
 
 

@@ -285,6 +285,31 @@ def test_is_quasi_perfect_family():
     for r in range(4, 9):
         assert is_quasi_perfect(extended_hamming(r))
     assert not is_quasi_perfect(hamming_734())  # perfect, radius 1
+    assert not is_quasi_perfect(seed("M"))  # the zero code: no nonzero codeword
+    assert not is_quasi_perfect(seed("S"))  # d = 5 corrects two errors
+
+
+# (call, error, message) for every refusal of the matrix, the code records,
+# the constructions and the covering radius that no other test raises
+REFUSALS = {
+    "matrix-negative-columns": (lambda: BitMatrix((), -1), PreconditionError, "negative column count"),
+    "matrix-column-out-of-range": (lambda: BitMatrix((0b101,), 3).select_columns([5]), PreconditionError,
+                                   "column index 5 out of range"),
+    "spec-dimensions": (lambda: CodeSpec(0, 3, 4), PreconditionError, "bad code dimensions"),
+    "code-shape": (lambda: Code(CodeSpec(5, 4, None), BitMatrix((0b1, 0b10, 0b100), 5)), PreconditionError,
+                   "H is 3x5, spec says 4x5"),
+    "general-qp-r": (lambda: general_qp(4, 2, seed("S")), PreconditionError, "general_qp needs r >= 5"),
+    # the identity on 17 rows, one past the syndrome search's budget
+    "covering-radius-budget": (lambda: covering_radius(Code(CodeSpec(17, 17, None), BitMatrix(tuple(1 << i for i in range(17)), 17))),
+                               BudgetError, "budgeted for r <= 16"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_every_construction_refusal_is_raised(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_shortened_eh5_not_quasi_perfect():

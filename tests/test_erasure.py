@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -838,6 +840,39 @@ def test_psi_tilde_refines_psi_at_deeper_recursion():
     assert psi_tilde(64, 4, rho, prov) <= math.comb(64, rho)
 
 
+@pytest.mark.parametrize("code, rho, deepest, shallow, lengths", [
+    # pan12 at its rank: three levels, every weight from 12 down to 8 reached
+    (panchenko(12), 12, 1828599846789273461507805600,
+     {1: 1280071163046454344998290560, 2: 1828688976306451044311277600}, {1280, 1276, 1275, 1274, 1273, 1272}),
+    # eh7 past its rank: an even code reaches only the weights of rho's parity
+    (extended_hamming(7), 13, -41152070765568, {1: -817286467068288, 2: -15022751899008}, {64, 60, 58, 56}),
+])
+def test_psi_tilde_at_three_levels(code, rho, deepest, shallow, lengths):
+    prov = trailing_shortening_provider(code)
+    n, d = code.spec.n, code.spec.d
+    assert rho // d == 3
+    read = set()
+    for depth in (None, 3, 4):  # no level is reached past rho // d
+        assert psi_tilde(n, d, rho, lambda m: read.add(m) or prov(m), depth=depth) == deepest
+    assert read == lengths
+    for depth, value in shallow.items():
+        assert psi_tilde(n, d, rho, prov, depth=depth) == value
+
+
+def test_psi_tilde_keeps_no_reference_to_its_provider():
+    # with the cyclic collector off, a provider and the spectra it holds go
+    # as soon as the last reference to it does
+    prov = trailing_shortening_provider(panchenko(9))
+    alive = weakref.ref(prov)
+    gc.disable()
+    try:
+        assert psi_tilde(160, 4, 8, prov) == psi_tilde(160, 4, 8, prov, depth=2)
+        del prov
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_bound_ordering_with_exact_count_at_deep_recursion():
     c = shorten(extended_hamming(8), list(range(14, 128)))
     assert c.spec.d == 4  # the first 14 columns still hold a dependent quadruple
@@ -1004,6 +1039,9 @@ REFUSALS = {
     "psi-tilde-rho": (lambda: psi_tilde(10, 4, 11, trailing_shortening_provider(pan5)), PreconditionError, "outside 0..10"),
     "psi-tilde-depth": (lambda: psi_tilde(10, 4, 4, trailing_shortening_provider(pan5), depth=0), PreconditionError,
                         "depth must be >= 1"),
+    # a distance of 0 would take the empty word at every level
+    "psi-tilde-distance": (lambda: psi_tilde(10, 0, 4, trailing_shortening_provider(pan5)), PreconditionError,
+                           "distance must be positive"),
     "entropy-range": (lambda: binary_entropy(1.5), PreconditionError, r"in \[0, 1\]"),
     "exact-rho": (lambda: s_rho_exact(pan5, 11), PreconditionError, "outside 0..10"),
     "report-delta-range": (
