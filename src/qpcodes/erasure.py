@@ -41,11 +41,12 @@ from typing import Callable
 
 import numpy as np
 
-from .construct import Code, _shorten, peel
+from . import spectrum
+from .construct import Code, peel
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .gf2 import BitMatrix, gf2_basis, independent_words, reduce_words
 from .rng import DOMAIN_ERASURE_SAMPLING, derive_stream, thread_count, thread_map
-from .spectrum import WeightSpectrum, comb0, oracle_spectrum
+from .spectrum import WeightSpectrum, comb0
 
 __all__ = [
     "EntropyBounds",
@@ -121,15 +122,16 @@ def is_exact_regime(d: int, rho: int) -> bool:
 
 
 def trailing_shortening_provider(code: Code, full: WeightSpectrum | None = None) -> SpectrumProvider:
-    """A_w source for the recursive bound: length m = drop trailing columns.
+    """A_w source for the recursive bound: length m is the code on H's first m columns.
 
     Which columns are removed matters for the shortened spectra; this
     default is the reproducible convention used everywhere in the package.
-    Each length is walked once: a shortened code's distance check reads the
-    spectrum the provider keeps, and full, a spectrum of the code walked
-    already, is length n's. Build one per code for every erasure_report on it.
+    Each length is walked once and kept, and full, a spectrum of the code
+    walked already, is length n's. A spectrum with a nonzero word below the
+    stated d, full included, is refused. Build one per code for every
+    erasure_report on it.
     """
-    n = code.spec.n
+    n, d = code.spec.n, code.spec.d
     if full is not None and full.n != n:
         raise PreconditionError(f"spectrum is for length {full.n}, not {n}")
     cache: dict[int, WeightSpectrum] = {} if full is None else {n: full}
@@ -138,8 +140,11 @@ def trailing_shortening_provider(code: Code, full: WeightSpectrum | None = None)
         if not 0 < m <= n:
             raise PreconditionError(f"provider asked for length {m}, code has {n}")
         if m not in cache:
-            cache[m] = oracle_spectrum(code) if m == n else _shorten(code, tuple(range(m, n)))[1]
-        return cache[m]
+            cache[m] = spectrum.spectrum_of_matrix(code.H if m == n else code.H.select_columns(range(m)))
+        s = cache[m]
+        if d is not None and any(s.counts[1:d]):
+            raise ConsistencyError(f"length {m} has a word of weight {s.min_nonzero()}, below the stated d={d}")
+        return s
 
     return provide
 
@@ -618,7 +623,7 @@ def erasure_report(
         chosen = "exact" if total <= exact_limit else "sampled"
     if chosen not in ("exact", "sampled", "psi-bound", "recursive"):
         raise PreconditionError(f"unknown method {chosen!r}")
-    if chosen == "sampled" and samples < 1:
+    if method in ("auto", "sampled") and samples < 1:
         raise PreconditionError("need at least one sample")
     rank = code.H.rank()
     if rho > rank:

@@ -932,13 +932,6 @@ def test_report_exact_path():
     assert rep.s_exact_or_estimate == 200
 
 
-def test_report_takes_every_spectrum_from_one_provider(monkeypatch):
-    calls = []
-    monkeypatch.setattr(erasure, "oracle_spectrum", lambda c: calls.append(c) or oracle_spectrum(c))
-    assert erasure_report(panchenko(6), 5).s_rho_exact == s_rho_exact(panchenko(6), 5)
-    assert [c.spec.n for c in calls] == [20]  # the full-length spectrum, once
-
-
 def _walked_lengths(monkeypatch):
     """Lengths of every row-space walk from here on, counted through the
     spectrum module and through any binding of its own the cli holds."""
@@ -952,6 +945,12 @@ def _walked_lengths(monkeypatch):
     monkeypatch.setattr(spectrum, "spectrum_of_matrix", counted)
     monkeypatch.setattr(cli, "spectrum_of_matrix", counted, raising=False)
     return walks
+
+
+def test_report_takes_every_spectrum_from_one_provider(monkeypatch):
+    walks = _walked_lengths(monkeypatch)
+    assert erasure_report(panchenko(6), 5).s_rho_exact == s_rho_exact(panchenko(6), 5)
+    assert walks == [20]  # the full-length spectrum, once
 
 
 def test_cli_walks_each_length_of_a_code_once(monkeypatch, tmp_path):
@@ -1006,8 +1005,20 @@ def test_shortening_never_lowers_a_stated_distance():
     overstated = Code(CodeSpec(pan6.spec.n, pan6.spec.r, 6), pan6.H)
     with pytest.raises(ConsistencyError, match="distance decreased"):
         shorten(overstated, [0])
-    with pytest.raises(ConsistencyError, match="distance decreased"):
+    with pytest.raises(ConsistencyError, match="length 19 has a word of weight 4, below the stated d=6"):
         trailing_shortening_provider(overstated)(pan6.spec.n - 1)
+
+
+@pytest.mark.parametrize("method", ["psi-bound", "recursive", "sampled", "exact"])
+def test_an_overstated_distance_is_refused_at_full_length(method):
+    # at rho = 5 psi reads only length 20, so without a check there the bound
+    # is taken at d = 6 and exceeds the true count (15,504 against S_5 = 13,248)
+    pan6 = panchenko(6)
+    overstated = Code(CodeSpec(20, 6, 6), pan6.H)
+    with pytest.raises(ConsistencyError, match="length 20 has a word of weight 4, below the stated d=6"):
+        erasure_report(overstated, 5, method=method, samples=1000)
+    with pytest.raises(ConsistencyError, match="length 20 has a word of weight 4, below the stated d=6"):
+        trailing_shortening_provider(overstated, oracle_spectrum(pan6))(20)
 
 
 def test_report_below_distance():
@@ -1053,6 +1064,8 @@ REFUSALS = {
     "report-z": (lambda: erasure_report(pan5, 4, z=-1.0), PreconditionError, "finite and >= 0"),
     "report-samples": (lambda: erasure_report(pan5, 4, method="sampled", samples=0), PreconditionError,
                        "at least one sample"),
+    # auto asks for samples too, and is refused though pan5 at rho = 4 is counted exactly
+    "report-samples-auto": (lambda: erasure_report(pan5, 4, samples=0), PreconditionError, "at least one sample"),
     # the depth and the seed are checked before any work, above rank(H) too
     "report-depth-below-rank": (lambda: erasure_report(pan5, 4, recursion_depth=0), PreconditionError,
                                 "depth must be >= 1"),

@@ -79,3 +79,30 @@ def test_only_construct_reads_a_lineage():
         if isinstance(node, ast.Attribute) and node.attr == "lineage"
     ]
     assert not readers, readers
+
+
+def test_no_module_reads_another_modules_private_name():
+    """A private name is read only in the module that defines it: no module
+    imports one from another (from .x import _y) or reads one through a
+    module it imports (x._y)."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    readers = []  # module: other._name
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}  # local name: package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in modules:
+                readers += [f"{path.stem}: {node.module}.{a.name}" for a in node.names if _private(a.name)]
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                imported.update((a.asname or a.name, a.name) for a in node.names if a.name in modules)
+        readers += [
+            f"{path.stem}: {imported[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in imported and _private(node.attr)
+        ]
+    assert not readers, readers
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
