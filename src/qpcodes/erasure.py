@@ -54,9 +54,6 @@ __all__ = [
     "SampleEstimate",
     "binary_entropy",
     "delta_entropy_bound",
-    "delta_lower",
-    "delta_tilde",
-    "delta_tilde_2",
     "erasure_report",
     "is_exact_regime",
     "psi",
@@ -110,10 +107,6 @@ def psi(n: int, d: int, rho: int, s: WeightSpectrum) -> int:
 def _floor(count: int, total: int) -> Fraction:
     """count / total as a floor on delta_rho: a negative count says no more than 0."""
     return Fraction(max(count, 0), total)
-
-
-def delta_lower(n: int, d: int, rho: int, s: WeightSpectrum) -> Fraction:
-    return _floor(psi(n, d, rho, s), math.comb(n, rho))
 
 
 def is_exact_regime(d: int, rho: int) -> bool:
@@ -182,14 +175,6 @@ def psi_tilde(
             for q, a in level.items()
         }
     return value.get(rho, math.comb(n, rho))
-
-
-def delta_tilde(n: int, d: int, rho: int, provider: SpectrumProvider) -> Fraction:
-    return _floor(psi_tilde(n, d, rho, provider), math.comb(n, rho))
-
-
-def delta_tilde_2(n: int, d: int, rho: int, provider: SpectrumProvider) -> Fraction:
-    return _floor(psi_tilde(n, d, rho, provider, depth=2), math.comb(n, rho))
 
 
 def binary_entropy(x: float) -> float:
@@ -508,8 +493,8 @@ def s_rho_sampled(
     the estimate is reproducible for a given master seed at any thread count.
     """
     n = code.H.cols
-    if not 1 <= rho <= n:
-        raise PreconditionError(f"rho={rho} outside 1..{n}")
+    if not 0 <= rho <= n:
+        raise PreconditionError(f"rho={rho} outside 0..{n}")
     if samples < 1:
         raise PreconditionError("need at least one sample")
     # (index, size) of each chunk, made as the workers take them
@@ -525,13 +510,15 @@ def s_rho_sampled(
 
 @dataclass(frozen=True)
 class ErasureReport:
-    """Erasure statistics of one (code, rho).
+    """Erasure statistics of one (code, rho): counts only, each floor read from its count.
 
-    psi and psi_tilde are the signed formula values while rho <= rank(H).
-    Above rank(H) no rho columns are independent, and the report sets both
-    (and every floor) to 0: there they are placeholders, not the formula,
-    which psi() and psi_tilde() still return and which goes negative (eh6
-    at rho=7: psi is -1,418,560).
+    psi, psi_tilde and psi_tilde_2 (psi_tilde at depth 2) are the signed
+    formula values while rho <= rank(H); delta_lower, delta_tilde and
+    delta_tilde_2 floor them over total at 0, and delta_exact is S / total.
+    Above rank(H) no rho columns are independent, and the report sets all
+    three to 0: there they are placeholders, not the formula, which psi()
+    and psi_tilde() still return and which goes negative (eh6 at rho=7: psi
+    is -1,418,560).
     """
 
     n: int
@@ -539,30 +526,40 @@ class ErasureReport:
     total: int
     psi: int
     psi_tilde: int
-    delta_lower: Fraction
-    delta_tilde: Fraction
-    delta_tilde_2: Fraction
+    psi_tilde_2: int
     method: str  # exact | sampled | psi-bound | recursive
     s_rho_exact: int | None = None
-    delta_exact: Fraction | None = None
     sample: SampleEstimate | None = None
     entropy_bound: float | None = None
     weak_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.s_rho_exact is not None:
-            # psi may be negative at large rho, where the closed form stops
-            # carrying probability information; it must still never exceed
-            # the true count
-            if not self.psi <= self.s_rho_exact <= self.total:
-                raise ConsistencyError(
-                    f"bound ordering violated: psi={self.psi}, "
-                    f"S={self.s_rho_exact}, total={self.total}"
-                )
-        for name in ("delta_lower", "delta_tilde", "delta_tilde_2", "delta_exact"):
-            v = getattr(self, name)
-            if v is not None and not 0 <= v <= 1:
-                raise ConsistencyError(f"{name}={v} outside [0, 1]")
+        # so every floor lies in [0, 1]; psi may be negative at large rho,
+        # where the closed form stops carrying probability information, but
+        # must still never exceed the true count
+        for name in ("psi", "psi_tilde", "psi_tilde_2"):
+            if getattr(self, name) > self.total:
+                raise ConsistencyError(f"{name}={getattr(self, name)} exceeds total={self.total}")
+        if self.s_rho_exact is not None and not max(self.psi, 0) <= self.s_rho_exact <= self.total:
+            raise ConsistencyError(
+                f"bound ordering violated: psi={self.psi}, S={self.s_rho_exact}, total={self.total}"
+            )
+
+    @property
+    def delta_lower(self) -> Fraction:
+        return _floor(self.psi, self.total)
+
+    @property
+    def delta_tilde(self) -> Fraction:
+        return _floor(self.psi_tilde, self.total)
+
+    @property
+    def delta_tilde_2(self) -> Fraction:
+        return _floor(self.psi_tilde_2, self.total)
+
+    @property
+    def delta_exact(self) -> Fraction | None:
+        return None if self.s_rho_exact is None else Fraction(self.s_rho_exact, self.total)
 
     @property
     def s_exact_or_estimate(self) -> Fraction | None:
@@ -574,11 +571,9 @@ class ErasureReport:
 
     @property
     def delta_exact_or_estimate(self) -> Fraction | None:
-        if self.s_rho_exact is not None:
-            return Fraction(self.s_rho_exact, self.total)
-        if self.sample is not None:
+        if self.s_rho_exact is None and self.sample is not None:
             return self.sample.estimate
-        return None
+        return self.delta_exact
 
     @property
     def ci_halfwidth(self) -> float | None:
@@ -628,16 +623,13 @@ def erasure_report(
     rank = code.H.rank()
     if rho > rank:
         # no rho columns can be independent; the closed-form bound is vacuous here
-        zero = Fraction(0)
         return ErasureReport(
-            n=n, rho=rho, total=total, psi=0, psi_tilde=0,
-            delta_lower=zero, delta_tilde=zero, delta_tilde_2=zero,
-            method="exact", s_rho_exact=0, delta_exact=zero,
+            n=n, rho=rho, total=total, psi=0, psi_tilde=0, psi_tilde_2=0, method="exact", s_rho_exact=0
         )
     prov = trailing_shortening_provider(code) if provider is None else provider
     raw_psi = psi(n, d, rho, prov(n))
     raw_tilde = psi_tilde(n, d, rho, prov, depth=recursion_depth)
-    tilde2 = psi_tilde(n, d, rho, prov, depth=2)
+    raw_tilde_2 = psi_tilde(n, d, rho, prov, depth=2)
     s_exact: int | None = None
     sample: SampleEstimate | None = None
     if chosen == "exact":
@@ -653,12 +645,9 @@ def erasure_report(
         total=total,
         psi=raw_psi,
         psi_tilde=raw_tilde,
-        delta_lower=_floor(raw_psi, total),
-        delta_tilde=_floor(raw_tilde, total),
-        delta_tilde_2=_floor(tilde2, total),
+        psi_tilde_2=raw_tilde_2,
         method=chosen,
         s_rho_exact=s_exact,
-        delta_exact=Fraction(s_exact, total) if s_exact is not None else None,
         sample=sample,
         entropy_bound=bounds.entropy_bound if bounds else None,
         weak_bound=bounds.weak_bound if bounds else None,

@@ -235,6 +235,33 @@ def test_erasure_bound_only_methods(tmp_path):
     assert float(row["delta_entropy_bound"]) > float(row["delta_weak_bound"]) > 0
 
 
+def test_erasure_entropy_floors_are_empty_below_d_and_above_rank(tmp_path):
+    # eh6 has d = 4 and rank 6: the floors need d <= rho, and above the rank
+    # the report is the exact 0 with no floor at all
+    out = tmp_path / "e.csv"
+    assert main(["erasure", "--code", "eh6", "--rho-min", "3", "--rho-max", "7",
+                 "--z", "20", "--psi", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    floors = {r["rho"]: (r["delta_entropy_bound"], r["delta_weak_bound"]) for r in rows}
+    assert floors == {"3": ("", ""), "4": ("0.999999", "0.999985"), "5": ("0.999988", "0.999969"),
+                      "6": ("0.999957", "0.999939"), "7": ("", "")}
+    assert [r["method"] for r in rows] == ["psi-bound"] * 4 + ["exact"]
+    side = json.loads((tmp_path / "e.csv.json").read_text())
+    assert [(r["entropy_bound"], r["weak_bound"]) for r in side["rows"][::4]] == [(None, None)] * 2
+
+
+def test_erasure_samples_the_empty_pattern(tmp_path):
+    # the empty pattern is independent, so every draw at rho = 0 is a hit
+    out = tmp_path / "e.csv"
+    assert main(["erasure", "--code", "eh7", "--rho-min", "0", "--rho-max", "2",
+                 "--sample", "100", "--out", str(out)]) == 0
+    row = read_csv(out)[0]
+    assert (row["rho"], row["method"], row["s_exact_or_estimate"]) == ("0", "sampled", "1")
+    assert row["delta_exact_or_estimate"] == "1.000000"
+    side = json.loads((tmp_path / "e.csv.json").read_text())
+    assert Fraction(side["rows"][0]["delta_exact_or_estimate"]) == 1
+
+
 def test_erasure_budget_refusal(tmp_path, capsys):
     # pan14 less its last column peels nothing, so the lattice would walk the
     # 3,597,226,406,753 subspaces of GF(2)^14 of dimension <= 4

@@ -116,6 +116,8 @@ BAD = {
     "table-2-p-not-a-number": (["table", "--which", "2", "--p", "1e-2,abc", "--trials", "5", "--out", "t.csv"], {}),
     "simulate-zero-per-stratum": (["simulate", "--p", "0.5", "--dplus", "3", "--trials", "1", "--stratified",
                                    "--per-stratum", "0", "--out", "s.json"], {}),
+    "simulate-kmax-below-every-stratum": (["simulate", "--p", "1e-2", "--dplus", "4", "--trials", "1", "--stratified",
+                                           "--kmax", "0", "--out", "s.json"], {}),
 }
 
 

@@ -17,9 +17,6 @@ from qpcodes.erasure import (
     ErasureReport,
     binary_entropy,
     delta_entropy_bound,
-    delta_lower,
-    delta_tilde,
-    delta_tilde_2,
     erasure_report,
     is_exact_regime,
     psi,
@@ -739,8 +736,10 @@ def test_one_batch_gathers_without_a_batch_wide_intp_copy():
 
 
 def test_sampling_validation():
+    # the empty pattern is independent: every draw of no index is a hit
+    assert s_rho_sampled(pan5, 0, 100, 1).hits == 100
     with pytest.raises(PreconditionError):
-        s_rho_sampled(pan5, 0, 100, 1)
+        s_rho_sampled(pan5, 11, 100, 1)
     with pytest.raises(PreconditionError):
         s_rho_sampled(pan5, 4, 0, 1)
 
@@ -826,9 +825,7 @@ def test_psi_tilde_collapses_below_twice_distance():
     prov = trailing_shortening_provider(code)
     s = oracle_spectrum(code)
     for rho in range(4, 8):
-        assert psi_tilde(40, 4, rho, prov) == psi(40, 4, rho, s)
-        assert delta_tilde(40, 4, rho, prov) == delta_lower(40, 4, rho, s)
-        assert delta_tilde_2(40, 4, rho, prov) == delta_lower(40, 4, rho, s)
+        assert psi_tilde(40, 4, rho, prov) == psi_tilde(40, 4, rho, prov, depth=2) == psi(40, 4, rho, s)
 
 
 def test_psi_tilde_refines_psi_at_deeper_recursion():
@@ -896,18 +893,17 @@ def test_report_with_negative_closed_form():
     rep = erasure_report(c, 7)
     assert rep.method == "exact"
     assert rep.psi < 0 <= rep.s_rho_exact
-    assert rep.delta_lower == delta_lower(12, c.spec.d, 7, oracle_spectrum(c)) == 0
+    assert rep.psi == psi(12, c.spec.d, 7, oracle_spectrum(c)) and rep.delta_lower == 0
     assert rep.delta_exact == Fraction(rep.s_rho_exact, math.comb(12, 7))
 
 
 def test_delta_floors_agree_with_the_report():
     # eh6 at rho = 7, past its rank: psi and both refinements dip below zero;
-    # the public deltas floor them at 0, as the report's are, and psi keeps its sign
+    # the report floors them at 0, and psi keeps its sign
     code = extended_hamming(6)
     s, prov = oracle_spectrum(code), trailing_shortening_provider(code)
     rep = erasure_report(code, 7)
     assert psi(32, 4, 7, s) < 0 and psi_tilde(32, 4, 7, prov) < 0 and psi_tilde(32, 4, 7, prov, depth=2) < 0
-    assert delta_lower(32, 4, 7, s) == delta_tilde(32, 4, 7, prov) == delta_tilde_2(32, 4, 7, prov) == 0
     assert rep.delta_lower == rep.delta_tilde == rep.delta_tilde_2 == 0
 
 
@@ -1056,9 +1052,8 @@ REFUSALS = {
     "entropy-range": (lambda: binary_entropy(1.5), PreconditionError, r"in \[0, 1\]"),
     "exact-rho": (lambda: s_rho_exact(pan5, 11), PreconditionError, "outside 0..10"),
     "report-delta-range": (
-        lambda: ErasureReport(n=10, rho=4, total=210, psi=200, psi_tilde=200, delta_lower=Fraction(211, 210),
-                              delta_tilde=Fraction(0), delta_tilde_2=Fraction(0), method="psi-bound"),
-        ConsistencyError, r"delta_lower=211/210 outside \[0, 1\]"),
+        lambda: ErasureReport(n=10, rho=4, total=210, psi=211, psi_tilde=200, psi_tilde_2=200, method="psi-bound"),
+        ConsistencyError, "psi=211 exceeds total=210"),
     "report-zero-code": (lambda: erasure_report(seed("M"), 1), PreconditionError, "zero code"),
     "report-rho": (lambda: erasure_report(pan5, 11), PreconditionError, "outside 0..10"),
     "report-z": (lambda: erasure_report(pan5, 4, z=-1.0), PreconditionError, "finite and >= 0"),
@@ -1140,11 +1135,20 @@ def test_cli_exits_3_when_a_count_misses_an_exact_psi(monkeypatch, tmp_path, cap
 def test_report_invariant_enforcement():
     with pytest.raises(ConsistencyError):
         ErasureReport(
-            n=8, rho=4, total=70, psi=60, psi_tilde=60,
-            delta_lower=Fraction(6, 7), delta_tilde=Fraction(6, 7),
-            delta_tilde_2=Fraction(6, 7), method="exact",
-            s_rho_exact=59, delta_exact=Fraction(59, 70),
+            n=8, rho=4, total=70, psi=60, psi_tilde=60, psi_tilde_2=60, method="exact", s_rho_exact=59,
         )
+    # a negative psi floors at 0, and so must S
+    with pytest.raises(ConsistencyError, match="bound ordering"):
+        ErasureReport(n=8, rho=4, total=70, psi=-5, psi_tilde=0, psi_tilde_2=0, method="exact", s_rho_exact=-1)
+    fields = dict(n=8, rho=4, total=70, psi=0, psi_tilde=0, psi_tilde_2=0, method="psi-bound")
+    for name in ("psi_tilde", "psi_tilde_2"):
+        with pytest.raises(ConsistencyError, match=f"{name}=71 exceeds total=70"):
+            ErasureReport(**{**fields, name: 71})
+    # a floor is read from its count, so no record can be given one
+    with pytest.raises(TypeError):
+        ErasureReport(n=10, rho=4, total=210, psi=100, psi_tilde=120, delta_lower=Fraction(1, 2),
+                      delta_tilde=Fraction(0), delta_tilde_2=Fraction(1), method="exact", s_rho_exact=150,
+                      delta_exact=Fraction(1, 7))
 
 
 def test_table_single_row_matches_reference():

@@ -602,6 +602,15 @@ def test_shared_configs_must_differ_only_in_d_plus():
             failure_probabilities(PC, [good, other])
 
 
+def test_stratified_refusals():
+    # at p = 1e-2 every kept stratum has k >= 1, so k_max = 0 keeps none
+    cfg = SimConfig(p=1e-2, d_plus=4, trials=1, master_seed=1, strategy="stratified")
+    with pytest.raises(PreconditionError, match="raise k_max"):
+        failure_probability(PC, cfg, k_max=0)
+    with pytest.raises(PreconditionError, match="per_stratum must be >= 1"):
+        failure_probability(PC, cfg, per_stratum=0)
+
+
 def test_binomial_weights_are_exact():
     bits, b, c = 5184, 99, 100  # p = 1/100
     # P(K=k) * c^bits = C(bits,k) b^(bits-k), from Pascal's row and powers of b

@@ -3,6 +3,7 @@ the package, and every imported name is read where it is imported: a
 helper, constant or import nothing reads is dead code."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qpcodes
@@ -65,6 +66,21 @@ def test_every_imported_name_is_read_or_exported():
                     if name not in read:
                         unread.append(f"{path.stem}: {name}")
     assert not unread, unread
+
+
+def test_every_exported_name_is_defined():
+    """Each name in a module's __all__ is bound in that module, so a star
+    import of it cannot fail and no export outlives what it named."""
+    exported = {
+        path.stem: importlib.import_module(f"qpcodes.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if any(isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+               for node in ast.parse(path.read_text()).body)
+    }
+    assert exported
+    missing = [f"{stem}.{name}" for stem, module in exported.items() for name in module.__all__
+               if not hasattr(module, name)]
+    assert not missing, missing
 
 
 def test_only_construct_reads_a_lineage():
